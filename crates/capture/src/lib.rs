@@ -9,7 +9,7 @@
 //!
 //! * [`camera`] — a camera pipeline producing *real* NV21 frames on a
 //!   frame-rate cadence, with sensor readout and delivery-jitter timing,
-//! * [`randgen`] — the random-tensor input generators benchmarks use
+//! * [`randgen`] — the cost of the random-tensor inputs benchmarks use
 //!   instead of real capture, including the libc++/libstdc++ cost
 //!   inversion the paper calls out as a benchmarking fallacy,
 //! * [`fusion`] — a small multi-sensor fusion filter (the "fusing multiple
@@ -20,4 +20,4 @@ pub mod fusion;
 pub mod randgen;
 
 pub use camera::{CameraConfig, CameraSource};
-pub use randgen::{RandomTensorGen, StdlibFlavor};
+pub use randgen::StdlibFlavor;

@@ -9,12 +9,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use aitax_capture::{CameraConfig, RandomTensorGen, StdlibFlavor};
+use aitax_capture::{CameraConfig, StdlibFlavor};
 use aitax_des::{FaultPlan, SimSpan, SimTime, TraceBuffer};
 use aitax_framework::{Engine, Plan, Session};
 use aitax_kernel::{Machine, MachineStats, NoiseConfig, TaskSpec, Work};
 use aitax_models::zoo::{MlTask, ModelId, PostTask, PreTask, Zoo, ZooEntry};
-use aitax_models::Graph;
 use aitax_pipeline::{CostModel, PixelOp};
 use aitax_soc::{SocCatalog, SocId};
 use aitax_tensor::DType;
@@ -203,8 +202,7 @@ impl E2eConfig {
         let session = Session::compile_cached(self.engine, self.model, self.dtype, self.soc)
             // aitax-allow(panic-path): user-facing runner: an unsupported engine/model pairing is a usage error worth aborting
             .unwrap_or_else(|e| panic!("cannot run {}: {e}", entry.display_name));
-        let graph = session.graph_shared();
-        let plan = session.plan().clone();
+        let plan = session.plan_shared();
 
         let m = ctx.checkout(self.soc, self.seed);
         if let Some(t) = self.initial_temp_c {
@@ -244,55 +242,66 @@ impl E2eConfig {
             }
         }
 
-        let state = Rc::new(RefCell::new(RunState {
+        // Every stage cost is a pure function of the configuration: price
+        // each stage once here rather than once per iteration.
+        let capture_cycles = if self.run_mode.uses_camera() {
+            CostModel::new(self.run_mode.runtime_kind())
+                .cycles(PixelOp::FrameExtract, self.camera.frame_bytes())
+        } else {
+            // Benchmark methodology: a random input tensor, of which only
+            // the generation cost is observable.
+            let elements = session.graph().input_elements() as usize;
+            self.stdlib
+                .random_input_cycles(elements.max(1), self.dtype.is_quantized())
+        };
+        let state = RefCell::new(RunState {
             breakdowns: Vec::with_capacity(self.iterations),
             current: StageBreakdown::default(),
             stage_start: SimTime::ZERO,
             iteration: 0,
             done: false,
             model_init: SimSpan::ZERO,
-            randgen: RandomTensorGen::new(self.stdlib, self.seed ^ 0x5eed),
             last_frame: SimTime::ZERO,
             stage_windows: Vec::new(),
-        }));
-
-        let driver = Driver {
-            entry,
-            graph,
+        });
+        let driver = Rc::new(Driver {
+            capture_cycles,
+            pre_cycles: self.preprocess_cycles(&entry),
+            post_cycles: self.postprocess_cycles(&entry).max(1.0),
             session,
-            config: self.clone(),
+            config: self,
             noise,
-            state: state.clone(),
-        };
+            state,
+        });
 
         // Model initialization happens once, before the iteration loop.
         let d = driver.clone();
-        let st = state.clone();
         let init_start = m.now();
         driver.session.initialize(m, move |m| {
-            st.borrow_mut().model_init = m.now() - init_start;
+            d.state.borrow_mut().model_init = m.now() - init_start;
             d.begin_capture(m);
         });
 
-        while !state.borrow().done {
+        while !driver.state.borrow().done {
             if !m.step() {
                 break;
             }
         }
 
-        let trace = if self.tracing {
+        let config = &driver.config;
+        let trace = if config.tracing {
             Some(std::mem::replace(&mut m.trace, TraceBuffer::disabled()))
         } else {
             None
         };
         let (breakdowns, model_init) = {
-            let mut st = state.borrow_mut();
+            let mut st = driver.state.borrow_mut();
             // Move the per-iteration breakdowns out rather than cloning
             // them; the run is over and the state cell is about to drop.
             (std::mem::take(&mut st.breakdowns), st.model_init)
         };
         let energy = trace.as_ref().map(|tr| {
-            let st = state.borrow();
+            let st = driver.state.borrow();
             EnergyReport::from_trace(
                 &spec.power,
                 tr,
@@ -306,7 +315,7 @@ impl E2eConfig {
             energy.as_ref().map(|e| e.mean_power_w()),
         );
         E2eReport {
-            dtype: self.dtype,
+            dtype: config.dtype,
             tax: TaxReport::new(breakdowns),
             model_init,
             stats: m.stats().clone(),
@@ -315,6 +324,74 @@ impl E2eConfig {
             energy,
             degradation,
         }
+    }
+
+    /// CPU cycles of one iteration's pre-processing chain.
+    fn preprocess_cycles(&self, entry: &ZooEntry) -> f64 {
+        let cost = CostModel::new(self.run_mode.runtime_kind());
+        let mut steps: Vec<(PixelOp, u64)> = Vec::new();
+        if let Some((h, w)) = entry.resolution {
+            let (out_px, elems) = ((h * w) as u64, (h * w * 3) as u64);
+            if self.run_mode.uses_camera() {
+                let cam_px = (self.camera.width * self.camera.height) as u64;
+                steps.push((PixelOp::Nv21ToArgb, cam_px));
+                for task in entry.preprocess {
+                    match task {
+                        PreTask::Scale => steps.push((PixelOp::ResizeBilinear, out_px)),
+                        PreTask::Crop => steps.push((PixelOp::CenterCrop, out_px)),
+                        PreTask::Normalize => {
+                            if self.dtype.is_quantized() {
+                                steps.push((PixelOp::TypeConvert, elems));
+                            } else {
+                                steps.push((PixelOp::Normalize, elems));
+                            }
+                        }
+                        PreTask::Rotate => steps.push((PixelOp::Rotate, out_px)),
+                        PreTask::Tokenize => steps.push((PixelOp::Tokenize, 240)),
+                    }
+                }
+            } else {
+                // Random tensors arrive model-shaped: only type conversion
+                // remains ("negligible pre-processing", §IV).
+                steps.push((PixelOp::TypeConvert, elems));
+            }
+        } else {
+            // Text model.
+            if self.run_mode.uses_camera() {
+                steps.push((PixelOp::Tokenize, 240));
+            } else {
+                steps.push((PixelOp::TypeConvert, 128));
+            }
+        }
+        cost.chain_cycles(&steps)
+    }
+
+    /// CPU cycles of one iteration's post-processing chain.
+    fn postprocess_cycles(&self, entry: &ZooEntry) -> f64 {
+        let cost = CostModel::new(self.run_mode.runtime_kind());
+        let mut steps: Vec<(PixelOp, u64)> = Vec::new();
+        for task in entry.postprocess {
+            match task {
+                PostTask::TopK => steps.push((PixelOp::TopK, 1001)),
+                PostTask::Dequantize => {
+                    if self.dtype.is_quantized() {
+                        steps.push((PixelOp::TypeConvert, 1001));
+                    }
+                }
+                PostTask::MaskFlattening => {
+                    steps.push((PixelOp::FlattenMask, 513 * 513 * 21));
+                }
+                PostTask::CalculateKeypoints => {
+                    steps.push((PixelOp::DecodeKeypoints, 14 * 14 * 51));
+                }
+                PostTask::ComputeLogits => steps.push((PixelOp::TopK, 2 * 128)),
+            }
+        }
+        // Detection apps also track boxes frame-to-frame (§IV-A).
+        if entry.task == MlTask::ObjectDetection && self.run_mode.uses_camera() {
+            steps.push((PixelOp::DecodeBoxesNms, 100));
+        }
+        cost.chain_cycles(&steps)
     }
 }
 
@@ -325,7 +402,6 @@ struct RunState {
     iteration: usize,
     done: bool,
     model_init: SimSpan,
-    randgen: RandomTensorGen,
     /// Timestamp of the camera frame consumed last.
     last_frame: SimTime,
     /// Per-stage execution windows, recorded when tracing is enabled so
@@ -333,14 +409,18 @@ struct RunState {
     stage_windows: Vec<(Stage, SimTime, SimTime)>,
 }
 
-#[derive(Clone)]
+/// One run's stage machine: the configuration, the stage costs priced
+/// once for the run, and the mutable run state. Every stage callback
+/// holds the same `Rc<Driver>`.
 struct Driver {
-    entry: ZooEntry,
-    graph: Arc<Graph>,
     session: Session,
     config: E2eConfig,
     noise: NoiseConfig,
-    state: Rc<RefCell<RunState>>,
+    /// Frame extraction (app mode) or random-input generation (CLI mode).
+    capture_cycles: f64,
+    pre_cycles: f64,
+    post_cycles: f64,
+    state: RefCell<RunState>,
 }
 
 impl Driver {
@@ -362,8 +442,9 @@ impl Driver {
 
     // ------------------------------------------------------ data capture
 
-    fn begin_capture(&self, m: &mut Machine) {
+    fn begin_capture(self: &Rc<Self>, m: &mut Machine) {
         self.mark_stage_start(m);
+        let d = self.clone();
         if self.config.run_mode.uses_camera() {
             // The camera free-runs into a buffer queue; the app consumes
             // the most recent frame. If one arrived since the last
@@ -380,95 +461,37 @@ impl Driver {
             } else {
                 None
             };
-            let ready = {
-                let st = self.state.borrow();
-                latest.map(|b| b > st.last_frame).unwrap_or(false)
-            };
-            let deliver_at = if ready {
-                now
-            } else {
-                let k = now.since(SimTime::ZERO + readout).as_ns() / interval + 1;
-                SimTime::from_ns(k * interval) + readout
-            };
-            {
+            let deliver_at = {
                 let mut st = self.state.borrow_mut();
-                st.last_frame = deliver_at;
-            }
+                let ready = latest.map(|b| b > st.last_frame).unwrap_or(false);
+                st.last_frame = if ready {
+                    now
+                } else {
+                    let k = now.since(SimTime::ZERO + readout).as_ns() / interval + 1;
+                    SimTime::from_ns(k * interval) + readout
+                };
+                st.last_frame
+            };
             let jitter = m.sample_irq_jitter(&self.noise);
-            let d = self.clone();
-            let frame_bytes = self.config.camera.frame_bytes();
-            let cost = CostModel::new(self.config.run_mode.runtime_kind());
             m.after(deliver_at + jitter - now, move |m| {
-                let cycles = cost.cycles(PixelOp::FrameExtract, frame_bytes);
-                let task = TaskSpec::foreground("frame-extract", Work::Cycles(cycles));
-                let d2 = d.clone();
-                m.submit_cpu(task, move |m| d2.end_capture(m));
+                let task = TaskSpec::foreground("frame-extract", Work::Cycles(d.capture_cycles));
+                m.submit_cpu(task, move |m| d.end_capture(m));
             });
         } else {
-            // Benchmark methodology: generate a random input tensor.
-            let elements = self.graph.input_elements() as usize;
-            let cycles = {
-                let mut st = self.state.borrow_mut();
-                if self.config.dtype.is_quantized() {
-                    st.randgen.gen_i8(&[elements.max(1)]).1
-                } else {
-                    st.randgen.gen_f32(&[elements.max(1)]).1
-                }
-            };
-            let d = self.clone();
-            let task = TaskSpec::foreground("random-input", Work::Cycles(cycles));
+            let task = TaskSpec::foreground("random-input", Work::Cycles(self.capture_cycles));
             m.submit_cpu(task, move |m| d.end_capture(m));
         }
     }
 
-    fn end_capture(&self, m: &mut Machine) {
+    fn end_capture(self: &Rc<Self>, m: &mut Machine) {
         self.record(m, Stage::DataCapture);
         self.begin_preprocess(m);
     }
 
     // ----------------------------------------------------- preprocessing
 
-    fn preprocess_cycles(&self) -> f64 {
-        let cost = CostModel::new(self.config.run_mode.runtime_kind());
-        let mut steps: Vec<(PixelOp, u64)> = Vec::new();
-        if let Some((h, w)) = self.entry.resolution {
-            let (out_px, elems) = ((h * w) as u64, (h * w * 3) as u64);
-            if self.config.run_mode.uses_camera() {
-                let cam_px = (self.config.camera.width * self.config.camera.height) as u64;
-                steps.push((PixelOp::Nv21ToArgb, cam_px));
-                for task in self.entry.preprocess {
-                    match task {
-                        PreTask::Scale => steps.push((PixelOp::ResizeBilinear, out_px)),
-                        PreTask::Crop => steps.push((PixelOp::CenterCrop, out_px)),
-                        PreTask::Normalize => {
-                            if self.config.dtype.is_quantized() {
-                                steps.push((PixelOp::TypeConvert, elems));
-                            } else {
-                                steps.push((PixelOp::Normalize, elems));
-                            }
-                        }
-                        PreTask::Rotate => steps.push((PixelOp::Rotate, out_px)),
-                        PreTask::Tokenize => steps.push((PixelOp::Tokenize, 240)),
-                    }
-                }
-            } else {
-                // Random tensors arrive model-shaped: only type conversion
-                // remains ("negligible pre-processing", §IV).
-                steps.push((PixelOp::TypeConvert, elems));
-            }
-        } else {
-            // Text model.
-            if self.config.run_mode.uses_camera() {
-                steps.push((PixelOp::Tokenize, 240));
-            } else {
-                steps.push((PixelOp::TypeConvert, 128));
-            }
-        }
-        cost.chain_cycles(&steps)
-    }
-
-    fn begin_preprocess(&self, m: &mut Machine) {
-        let cycles = self.preprocess_cycles();
+    fn begin_preprocess(self: &Rc<Self>, m: &mut Machine) {
+        let cycles = self.pre_cycles;
         let d = self.clone();
         if self.config.preproc_on_dsp {
             // FastCV-style offload: the HVX DSP chews per-pixel work at
@@ -480,12 +503,12 @@ impl Driver {
             let frame_bytes = if self.config.run_mode.uses_camera() {
                 self.config.camera.frame_bytes()
             } else {
-                self.graph.input_bytes()
+                self.session.graph().input_bytes()
             };
             let invoke = aitax_kernel::RpcInvoke {
                 label: "fastcv-preprocess".into(),
                 in_bytes: frame_bytes,
-                out_bytes: self.graph.input_bytes(),
+                out_bytes: self.session.graph().input_bytes(),
                 dsp_work: span,
                 device: aitax_kernel::RpcDevice::Dsp,
                 ..Default::default()
@@ -498,10 +521,9 @@ impl Driver {
                     // DSP unusable: redo the frame on the CPU path.
                     m.degradation_mut().cpu_fallbacks += 1;
                     let task = TaskSpec::foreground("pre-processing", Work::Cycles(cycles));
-                    let d2 = d.clone();
                     m.submit_cpu(task, move |m| {
-                        d2.record(m, Stage::PreProcessing);
-                        d2.begin_inference(m);
+                        d.record(m, Stage::PreProcessing);
+                        d.begin_inference(m);
                     });
                 }
             });
@@ -516,7 +538,7 @@ impl Driver {
 
     // --------------------------------------------------------- inference
 
-    fn begin_inference(&self, m: &mut Machine) {
+    fn begin_inference(self: &Rc<Self>, m: &mut Machine) {
         let d = self.clone();
         self.session.invoke(m, move |m| {
             d.record(m, Stage::Inference);
@@ -526,37 +548,9 @@ impl Driver {
 
     // ---------------------------------------------------- postprocessing
 
-    fn postprocess_cycles(&self) -> f64 {
-        let cost = CostModel::new(self.config.run_mode.runtime_kind());
-        let mut steps: Vec<(PixelOp, u64)> = Vec::new();
-        for task in self.entry.postprocess {
-            match task {
-                PostTask::TopK => steps.push((PixelOp::TopK, 1001)),
-                PostTask::Dequantize => {
-                    if self.config.dtype.is_quantized() {
-                        steps.push((PixelOp::TypeConvert, 1001));
-                    }
-                }
-                PostTask::MaskFlattening => {
-                    steps.push((PixelOp::FlattenMask, 513 * 513 * 21));
-                }
-                PostTask::CalculateKeypoints => {
-                    steps.push((PixelOp::DecodeKeypoints, 14 * 14 * 51));
-                }
-                PostTask::ComputeLogits => steps.push((PixelOp::TopK, 2 * 128)),
-            }
-        }
-        // Detection apps also track boxes frame-to-frame (§IV-A).
-        if self.entry.task == MlTask::ObjectDetection && self.config.run_mode.uses_camera() {
-            steps.push((PixelOp::DecodeBoxesNms, 100));
-        }
-        cost.chain_cycles(&steps)
-    }
-
-    fn begin_postprocess(&self, m: &mut Machine) {
-        let cycles = self.postprocess_cycles().max(1.0);
+    fn begin_postprocess(self: &Rc<Self>, m: &mut Machine) {
         let d = self.clone();
-        let task = TaskSpec::foreground("post-processing", Work::Cycles(cycles));
+        let task = TaskSpec::foreground("post-processing", Work::Cycles(self.post_cycles));
         m.submit_cpu(task, move |m| {
             d.record(m, Stage::PostProcessing);
             d.begin_ui(m);
@@ -565,7 +559,7 @@ impl Driver {
 
     // ---------------------------------------------------------------- ui
 
-    fn begin_ui(&self, m: &mut Machine) {
+    fn begin_ui(self: &Rc<Self>, m: &mut Machine) {
         let mut cycles = self.config.run_mode.ui_overhead_cycles();
         if cycles <= 0.0 {
             self.finish_iteration(m);
@@ -586,7 +580,7 @@ impl Driver {
         });
     }
 
-    fn finish_iteration(&self, m: &mut Machine) {
+    fn finish_iteration(self: &Rc<Self>, m: &mut Machine) {
         let next = {
             let mut st = self.state.borrow_mut();
             let finished = std::mem::take(&mut st.current);
@@ -628,8 +622,9 @@ pub struct E2eReport {
     pub model_init: SimSpan,
     /// Machine counters accumulated over the run.
     pub stats: MachineStats,
-    /// The compiled execution plan (partitioning inspection).
-    pub plan: Plan,
+    /// The compiled execution plan (partitioning inspection), shared
+    /// with the plan cache.
+    pub plan: Arc<Plan>,
     /// The structured trace, when tracing was enabled.
     pub trace: Option<TraceBuffer>,
     /// Per-rail energy attribution, when tracing was enabled.

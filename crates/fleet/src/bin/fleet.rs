@@ -43,6 +43,18 @@ fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
         .unwrap_or(default)
 }
 
+/// Parses the value of a count flag, which must be at least 1.
+fn count<T: std::str::FromStr + PartialEq + From<u8>>(
+    flag: &str,
+    value: &str,
+) -> Result<T, String> {
+    match value.parse() {
+        Ok(n) if n == T::from(0) => Err(format!("{flag} must be >= 1")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("{flag} must be a positive integer")),
+    }
+}
+
 fn usage() -> &'static str {
     "usage: fleet [--population N] [--requests N] [--shards N] [--threads N] [--seed N]\n\
      \x20            [--name S] [--fault-rate F] [--multi-tenant-rate F] [--out DIR]\n\
@@ -94,35 +106,10 @@ fn parse(args: &[String]) -> Result<Opts, String> {
                 return Ok(opts);
             }
             "--name" => opts.name = value("--name")?,
-            "--population" => {
-                opts.population = value("--population")?
-                    .parse()
-                    .map_err(|_| "--population must be a positive integer".to_string())?;
-                if opts.population == 0 {
-                    return Err("--population must be >= 1".into());
-                }
-            }
-            "--requests" => {
-                opts.requests = value("--requests")?
-                    .parse()
-                    .map_err(|_| "--requests must be a non-negative integer".to_string())?;
-            }
-            "--shards" => {
-                opts.shards = value("--shards")?
-                    .parse()
-                    .map_err(|_| "--shards must be a positive integer".to_string())?;
-                if opts.shards == 0 {
-                    return Err("--shards must be >= 1".into());
-                }
-            }
-            "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads must be a positive integer".to_string())?;
-                if opts.threads == 0 {
-                    return Err("--threads must be >= 1".into());
-                }
-            }
+            "--population" => opts.population = count(arg, &value(arg)?)?,
+            "--requests" => opts.requests = count(arg, &value(arg)?)?,
+            "--shards" => opts.shards = count(arg, &value(arg)?)?,
+            "--threads" => opts.threads = count(arg, &value(arg)?)?,
             "--seed" => {
                 opts.seed = value("--seed")?
                     .parse()

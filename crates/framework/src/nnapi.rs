@@ -168,11 +168,7 @@ pub(crate) fn plan_nnapi(
     if matches!(accel, ExecTarget::Dsp { .. } | ExecTarget::Npu { .. }) {
         compile += SimSpan::from_secs(graph.weight_bytes() as f64 / soc.memory.axi_bytes_per_sec);
     }
-    Plan {
-        partitions,
-        compile_span: compile,
-        dsp_probe: driver_rejects_dsp,
-    }
+    Plan::new(graph, partitions, compile, driver_rejects_dsp)
 }
 
 #[cfg(test)]

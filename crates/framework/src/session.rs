@@ -1,5 +1,6 @@
 //! Sessions: compiled models ready to invoke on a [`Machine`].
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -136,7 +137,7 @@ impl Partition {
 }
 
 /// A compiled execution plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct Plan {
     /// Ordered partitions.
     pub partitions: Vec<Partition>,
@@ -147,9 +148,78 @@ pub struct Plan {
     /// the transient CDSP spike of Fig. 6 when a driver accepts a model
     /// but cannot actually place it.
     pub dsp_probe: bool,
+    labels: Labels,
+}
+
+/// Trace labels of the tasks and device jobs an invocation of a plan
+/// submits, formatted once when the plan is compiled. Invocations borrow
+/// them instead of formatting per invoke; the strings, and the order they
+/// reach the trace's symbol table, are unchanged. (TFLite CPU ops need
+/// none: the kernel names a gang's members `op#t` itself.)
+#[derive(Clone, PartialEq)]
+struct Labels {
+    init: Box<str>,
+    probe: Box<str>,
+    fallback: Box<str>,
+    /// Per partition: the label of its task or device job (empty for a
+    /// TFLite CPU partition).
+    parts: Vec<Box<str>>,
+}
+
+impl Labels {
+    fn new(graph: &Graph, partitions: &[Partition]) -> Labels {
+        let name = graph.name();
+        let prefixed = |prefix: &str| -> Box<str> { [prefix, name].concat().into() };
+        let parts = partitions
+            .iter()
+            .map(|p| {
+                let (a, b) = p.ops;
+                match p.target {
+                    ExecTarget::TfLiteCpu { .. } => Box::default(),
+                    ExecTarget::NnapiRefCpu => prefixed("nnapi-ref:"),
+                    ExecTarget::Dsp { .. } => format!("dsp:{name}[{a}..{b}]").into(),
+                    ExecTarget::Npu { .. } => format!("npu:{name}[{a}..{b}]").into(),
+                    ExecTarget::Gpu { .. } => format!("gpu:{name}[{a}..{b}]").into(),
+                }
+            })
+            .collect();
+        Labels {
+            init: prefixed("model-init:"),
+            probe: prefixed("nnapi-probe:"),
+            fallback: prefixed("fallback:"),
+            parts,
+        }
+    }
+}
+
+/// Prints the placement decisions only: the labels follow from them.
+impl fmt::Debug for Plan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Plan")
+            .field("partitions", &self.partitions)
+            .field("compile_span", &self.compile_span)
+            .field("dsp_probe", &self.dsp_probe)
+            .finish()
+    }
 }
 
 impl Plan {
+    /// Assembles a plan for `graph`, formatting its trace labels.
+    pub(crate) fn new(
+        graph: &Graph,
+        partitions: Vec<Partition>,
+        compile_span: SimSpan,
+        dsp_probe: bool,
+    ) -> Plan {
+        let labels = Labels::new(graph, &partitions);
+        Plan {
+            partitions,
+            compile_span,
+            dsp_probe,
+            labels,
+        }
+    }
+
     /// Number of device transitions during one inference.
     pub fn transitions(&self) -> usize {
         self.partitions.len().saturating_sub(1)
@@ -370,15 +440,15 @@ impl Session {
         &self.inner.plan
     }
 
+    /// A shared handle to the compiled plan (the cached allocation, never
+    /// copied).
+    pub fn plan_shared(&self) -> Arc<Plan> {
+        self.inner.plan.clone()
+    }
+
     /// The model graph.
     pub fn graph(&self) -> &Graph {
         &self.inner.graph
-    }
-
-    /// A shared handle to the model graph (the same allocation this
-    /// session executes — cheap to clone, never copied).
-    pub fn graph_shared(&self) -> Arc<Graph> {
-        self.inner.graph.clone()
     }
 
     /// Sets the QoS priority stamped on every CPU task and FastRPC
@@ -417,11 +487,8 @@ impl Session {
     /// partition, driver prepare) on the machine, then fires `on_done`.
     pub fn initialize(&self, m: &mut Machine, on_done: impl FnOnce(&mut Machine) + 'static) {
         let span = self.inner.plan.compile_span;
-        let task = TaskSpec::foreground(
-            format!("model-init:{}", self.inner.graph.name()),
-            Work::Span(span),
-        )
-        .with_priority(self.inner.qos_priority.get());
+        let task = TaskSpec::foreground(&*self.inner.plan.labels.init, Work::Span(span))
+            .with_priority(self.inner.qos_priority.get());
         m.submit_cpu(task, on_done);
     }
 
@@ -434,7 +501,7 @@ impl Session {
         if inner.plan.dsp_probe && !inner.dsp_probe_done.get() {
             inner.dsp_probe_done.set(true);
             let probe = RpcInvoke {
-                label: format!("nnapi-probe:{}", inner.graph.name()),
+                label: inner.plan.labels.probe.to_string(),
                 in_bytes: 4096,
                 out_bytes: 64,
                 dsp_work: SimSpan::from_us(400.0),
@@ -500,7 +567,7 @@ fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
     });
     match part.target {
         ExecTarget::TfLiteCpu { threads } => {
-            run_cpu_op(inner, part.ops.0, part.ops.1, threads, m, next);
+            run_cpu_op(inner, part.ops.0, part.ops.1, threads.max(1), m, next);
         }
         ExecTarget::NnapiRefCpu => {
             // One long single-threaded task on the driver's reference
@@ -511,55 +578,34 @@ fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
                 .sum();
             let cycles =
                 part.macs as f64 * cost::NNAPI_REFERENCE_CYCLES_PER_MAC + elements as f64 * 2.0;
-            let task = TaskSpec::nnapi_fallback(
-                format!("nnapi-ref:{}", inner.graph.name()),
-                Work::Cycles(cycles),
-            )
-            .with_priority(inner.qos_priority.get());
+            let task =
+                TaskSpec::nnapi_fallback(&*inner.plan.labels.parts[idx], Work::Cycles(cycles))
+                    .with_priority(inner.qos_priority.get());
             m.submit_cpu(task, next);
         }
-        ExecTarget::Dsp { efficiency } => {
-            let work = cost::dsp_exec_span(&m.spec().dsp, part.macs, efficiency);
-            if inner.accel_broken.get() {
-                run_cpu_fallback(inner, part.macs, work, m, next);
-                return;
-            }
-            let invoke = RpcInvoke {
-                label: format!("dsp:{}[{}..{}]", inner.graph.name(), part.ops.0, part.ops.1),
-                in_bytes: part.in_bytes,
-                out_bytes: part.out_bytes,
-                dsp_work: work,
-                device: RpcDevice::Dsp,
-                priority: inner.qos_priority.get(),
-                burst: inner.burst_flag(),
+        ExecTarget::Dsp { efficiency } | ExecTarget::Npu { efficiency } => {
+            let (device, work) = if let ExecTarget::Dsp { .. } = part.target {
+                let work = cost::dsp_exec_span(&m.spec().dsp, part.macs, efficiency);
+                (RpcDevice::Dsp, work)
+            } else {
+                let npu = m
+                    .spec()
+                    .npu
+                    // aitax-allow(panic-path): Session::compile rejects Npu plans on NPU-less chipsets before execution
+                    .expect("Npu partition compiled for a chipset without an NPU");
+                let work = SimSpan::from_secs(2.0 * part.macs as f64 / (npu.int8_ops * efficiency));
+                (RpcDevice::Npu, work)
             };
-            let macs = part.macs;
-            m.fastrpc_invoke_result(invoke, move |m, outcome| match outcome {
-                RpcOutcome::Ok => next(m),
-                RpcOutcome::Failed(_) => {
-                    inner.accel_broken.set(true);
-                    run_cpu_fallback(inner, macs, work, m, next);
-                }
-            });
-        }
-        ExecTarget::Npu { efficiency } => {
-            let npu = m
-                .spec()
-                .npu
-                // aitax-allow(panic-path): Session::compile rejects Npu plans on NPU-less chipsets before execution
-                .expect("Npu partition compiled for a chipset without an NPU");
-            let work =
-                aitax_des::SimSpan::from_secs(2.0 * part.macs as f64 / (npu.int8_ops * efficiency));
             if inner.accel_broken.get() {
                 run_cpu_fallback(inner, part.macs, work, m, next);
                 return;
             }
             let invoke = RpcInvoke {
-                label: format!("npu:{}[{}..{}]", inner.graph.name(), part.ops.0, part.ops.1),
+                label: inner.plan.labels.parts[idx].to_string(),
                 in_bytes: part.in_bytes,
                 out_bytes: part.out_bytes,
                 dsp_work: work,
-                device: RpcDevice::Npu,
+                device,
                 priority: inner.qos_priority.get(),
                 burst: inner.burst_flag(),
             };
@@ -577,7 +623,7 @@ fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
                 + m.spec().memory.transfer_span(part.in_bytes)
                 + m.spec().memory.transfer_span(part.out_bytes);
             let job = GpuJob {
-                label: format!("gpu:{}[{}..{}]", inner.graph.name(), part.ops.0, part.ops.1),
+                label: Cow::Borrowed(&inner.plan.labels.parts[idx]),
                 exec,
             };
             m.submit_gpu(job, next);
@@ -594,11 +640,8 @@ fn run_partition(inner: Rc<Inner>, idx: usize, m: &mut Machine, done: DoneCb) {
 fn run_cpu_fallback(inner: Rc<Inner>, macs: u64, planned: SimSpan, m: &mut Machine, next: DoneCb) {
     m.degradation_mut().cpu_fallbacks += 1;
     let cycles = macs as f64 * cost::NNAPI_REFERENCE_CYCLES_PER_MAC;
-    let task = TaskSpec::nnapi_fallback(
-        format!("fallback:{}", inner.graph.name()),
-        Work::Cycles(cycles),
-    )
-    .with_priority(inner.qos_priority.get());
+    let task = TaskSpec::nnapi_fallback(&*inner.plan.labels.fallback, Work::Cycles(cycles))
+        .with_priority(inner.qos_priority.get());
     let start = m.now();
     m.submit_cpu(task, move |m| {
         let actual = m.now() - start;
@@ -607,8 +650,8 @@ fn run_cpu_fallback(inner: Rc<Inner>, macs: u64, planned: SimSpan, m: &mut Machi
     });
 }
 
-/// Executes ops `[op..end)` on the TFLite CPU backend, one fork-join gang
-/// per op, then fires `done`.
+/// Executes ops `[op..end)` on the TFLite CPU backend, one fork-join
+/// gang of `threads` tasks per op, then fires `done`.
 fn run_cpu_op(
     inner: Rc<Inner>,
     op: usize,
@@ -624,7 +667,6 @@ fn run_cpu_op(
     let node = &inner.graph.nodes()[op];
     let dtype = inner.graph.dtype();
     let units = cost::tflite_cpu_work_units(&node.op, dtype);
-    let threads = threads.max(1);
     // Dispatch + fork/join overheads folded in as equivalent work units
     // (cycles × per-cycle throughput).
     let per_cycle = if dtype.is_quantized() { 16.0 } else { 8.0 };
@@ -637,11 +679,9 @@ fn run_cpu_op(
         Work::Fp32Flops(per_thread)
     };
     let prio = inner.qos_priority.get();
-    let specs: Vec<TaskSpec> = (0..threads)
-        .map(|t| TaskSpec::foreground(format!("{}#{t}", node.name), work).with_priority(prio))
-        .collect();
+    let gang = TaskSpec::foreground(&*node.name, work).with_priority(prio);
     let next_inner = inner.clone();
-    m.submit_cpu_parallel(specs, move |m| {
+    m.submit_cpu_parallel(gang, threads, move |m| {
         run_cpu_op(next_inner, op + 1, end, threads, m, done);
     });
 }

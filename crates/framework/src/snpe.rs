@@ -33,11 +33,7 @@ pub(crate) fn plan_dsp(graph: &Graph, soc: &SocSpec) -> Plan {
     let compile = base_compile_span(graph)
         + SimSpan::from_ms(12.0)
         + SimSpan::from_secs(graph.weight_bytes() as f64 / soc.memory.axi_bytes_per_sec);
-    Plan {
-        partitions,
-        compile_span: compile,
-        dsp_probe: false,
-    }
+    Plan::new(graph, partitions, compile, false)
 }
 
 /// Plans a graph as one fused program on the GPU runtime.
@@ -51,11 +47,12 @@ pub(crate) fn plan_gpu(graph: &Graph) -> Plan {
         in_bytes: graph.input_bytes(),
         out_bytes: graph.output_bytes(),
     }];
-    Plan {
+    Plan::new(
+        graph,
         partitions,
-        compile_span: base_compile_span(graph) + SimSpan::from_ms(40.0),
-        dsp_probe: false,
-    }
+        base_compile_span(graph) + SimSpan::from_ms(40.0),
+        false,
+    )
 }
 
 #[cfg(test)]

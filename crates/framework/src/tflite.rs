@@ -95,17 +95,14 @@ pub(crate) fn partition_by(
 
 /// Pure CPU plan: one partition over the whole graph.
 pub(crate) fn plan_cpu(graph: &Graph, threads: usize) -> Plan {
-    Plan {
-        partitions: vec![Partition {
-            target: ExecTarget::TfLiteCpu { threads },
-            ops: (0, graph.len()),
-            macs: graph.total_macs(),
-            in_bytes: graph.input_bytes(),
-            out_bytes: graph.output_bytes(),
-        }],
-        compile_span: base_compile_span(graph),
-        dsp_probe: false,
-    }
+    let partitions = vec![Partition {
+        target: ExecTarget::TfLiteCpu { threads },
+        ops: (0, graph.len()),
+        macs: graph.total_macs(),
+        in_bytes: graph.input_bytes(),
+        out_bytes: graph.output_bytes(),
+    }];
+    Plan::new(graph, partitions, base_compile_span(graph), false)
 }
 
 /// GPU-delegate plan: supported runs on the GPU, the rest on CPU threads.
@@ -118,12 +115,9 @@ pub(crate) fn plan_gpu(graph: &Graph, threads: usize) -> Plan {
         ExecTarget::TfLiteCpu { threads },
         gpu_delegate_supports,
     );
-    Plan {
-        partitions,
-        // Shader compilation makes GPU delegate init expensive.
-        compile_span: base_compile_span(graph) + SimSpan::from_ms(60.0),
-        dsp_probe: false,
-    }
+    // Shader compilation makes GPU delegate init expensive.
+    let compile_span = base_compile_span(graph) + SimSpan::from_ms(60.0);
+    Plan::new(graph, partitions, compile_span, false)
 }
 
 /// Hexagon-delegate plan: supported runs offload via FastRPC, the rest on
@@ -140,11 +134,12 @@ pub(crate) fn plan_hexagon(graph: &Graph, soc: &SocSpec, threads: usize) -> Plan
     // Delegate prepare uploads the weights to DSP-visible memory.
     let weight_upload =
         SimSpan::from_secs(graph.weight_bytes() as f64 / soc.memory.axi_bytes_per_sec);
-    Plan {
+    Plan::new(
+        graph,
         partitions,
-        compile_span: base_compile_span(graph) + SimSpan::from_ms(8.0) + weight_upload,
-        dsp_probe: false,
-    }
+        base_compile_span(graph) + SimSpan::from_ms(8.0) + weight_upload,
+        false,
+    )
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! The simulated phone: SoC + OS state + event loop.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use aitax_des::trace::{TraceKind, TraceResource};
 use aitax_des::{
@@ -10,6 +12,7 @@ use aitax_soc::{SocSpec, ThermalState};
 
 use crate::dvfs::{CoreGov, DvfsPolicy};
 use crate::fastrpc::FastRpcCosts;
+use crate::sched::Join;
 use crate::task::{CoreMask, TaskClass, TaskId, Work};
 
 /// A completion callback fired by the machine.
@@ -95,11 +98,10 @@ pub(crate) struct Task {
     /// QoS priority band (zero = legacy default; see
     /// [`TaskSpec::priority`](crate::TaskSpec::priority)).
     pub priority: i8,
-    pub on_done: Option<Callback>,
+    /// The join record of the task's gang (a lone task is a gang of one).
+    pub on_done: Option<Rc<dyn Join>>,
     /// Extra delay to pay before the next slice (migration penalty).
     pub pending_penalty: SimSpan,
-    pub last_core: Option<usize>,
-    pub cpu_time: SimSpan,
 }
 
 pub(crate) struct Running {
@@ -151,9 +153,9 @@ pub(crate) struct AccelState {
 /// [`GpuSpec`](aitax_soc::GpuSpec); the machine provides queueing and
 /// launch-overhead semantics.
 #[derive(Debug, Clone)]
-pub struct GpuJob {
-    /// Label for traces.
-    pub label: String,
+pub struct GpuJob<'a> {
+    /// Label for traces (interned at submission, so it may borrow).
+    pub label: Cow<'a, str>,
     /// Pure execution time on the GPU (excluding launch overhead).
     pub exec: SimSpan,
 }
@@ -172,6 +174,12 @@ pub(crate) enum Ev {
 pub struct Machine {
     pub(crate) spec: &'static SocSpec,
     pub(crate) core_specs: Vec<aitax_soc::CpuCoreSpec>,
+    /// Default affinity of foreground tasks: the big cores.
+    pub(crate) big_cores: CoreMask,
+    /// Default affinity of every other class: all cores.
+    pub(crate) all_cores: CoreMask,
+    /// Scratch buffer for formatting gang member labels.
+    pub(crate) label_buf: String,
     pub(crate) cal: Calendar,
     pub(crate) rng: SimRng,
     /// Structured trace buffer (disabled by default; enable for profiling).
@@ -218,6 +226,8 @@ impl Machine {
             spec.name
         );
         let cores = core_specs.iter().map(|_| CoreState::default()).collect();
+        let big_cores = CoreMask::of(&spec.big_core_ids());
+        let all_cores = CoreMask::of(&(0..core_specs.len()).collect::<Vec<_>>());
         let governor = spec
             .power
             .core_rails
@@ -227,6 +237,9 @@ impl Machine {
         let thermal = ThermalState::new(spec.thermal);
         Machine {
             core_specs,
+            big_cores,
+            all_cores,
+            label_buf: String::new(),
             cores,
             thermal,
             governor,
@@ -636,7 +649,7 @@ impl Machine {
     }
 
     /// Submits a job to the GPU queue, charging the launch overhead.
-    pub fn submit_gpu(&mut self, job: GpuJob, on_done: impl FnOnce(&mut Machine) + 'static) {
+    pub fn submit_gpu(&mut self, job: GpuJob<'_>, on_done: impl FnOnce(&mut Machine) + 'static) {
         let exec = self.spec.gpu.launch_overhead + job.exec;
         let trace_id = self.fresh_obj_id();
         self.gpu.queue.push_back(AccelJob {

@@ -6,11 +6,12 @@
 //! CPU-fallback threads that Figure 6 of the paper captures (annotation 4:
 //! "frequent CPU migrations ... and the core utilization pattern").
 
-use std::cell::RefCell;
+use std::cell::Cell;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use aitax_des::trace::{TraceKind, TraceResource};
-use aitax_des::SimSpan;
+use aitax_des::{SimSpan, Symbol};
 
 use crate::machine::{Ev, Machine, Running, Task};
 use crate::task::{CoreMask, TaskClass, TaskId, TaskSpec};
@@ -33,6 +34,39 @@ const WORK_EPSILON: f64 = 1e-6;
 /// would round to a zero-length slice and loop forever at one timestamp.
 const MIN_SLICE: SimSpan = SimSpan::from_ns(1);
 
+/// The join record of a fork-join gang (see
+/// [`Machine::submit_cpu_parallel`]), shared by its members.
+pub(crate) trait Join {
+    /// One member finished; the last one fires the gang's callback.
+    fn member_done(&self, m: &mut Machine);
+}
+
+struct Gang<F> {
+    pending: Cell<usize>,
+    on_all_done: Cell<Option<F>>,
+}
+
+impl<F: FnOnce(&mut Machine) + 'static> Gang<F> {
+    fn join(members: usize, on_all_done: F) -> Rc<dyn Join> {
+        Rc::new(Gang {
+            pending: Cell::new(members),
+            on_all_done: Cell::new(Some(on_all_done)),
+        })
+    }
+}
+
+impl<F: FnOnce(&mut Machine)> Join for Gang<F> {
+    fn member_done(&self, m: &mut Machine) {
+        let left = self.pending.get() - 1;
+        self.pending.set(left);
+        if left == 0 {
+            if let Some(cb) = self.on_all_done.take() {
+                cb(m);
+            }
+        }
+    }
+}
+
 impl Machine {
     /// Submits one CPU task; `on_done` fires when it completes.
     ///
@@ -40,15 +74,46 @@ impl Machine {
     /// anywhere. Returns the task id (also used in traces).
     pub fn submit_cpu(
         &mut self,
-        spec: TaskSpec,
+        spec: TaskSpec<'_>,
         on_done: impl FnOnce(&mut Machine) + 'static,
     ) -> TaskId {
-        let affinity = spec
-            .affinity
-            .unwrap_or_else(|| self.default_affinity(spec.class));
+        let label = self.trace.intern(&spec.name);
+        self.submit_task(&spec, label, Gang::join(1, on_done))
+    }
+
+    /// Submits a gang of `threads` copies of `spec`, labelled
+    /// `{name}#0`, `{name}#1`, …; `on_all_done` fires when the last one
+    /// completes (fork-join, as a multi-threaded TFLite op does). The
+    /// gang shares one join record and its member labels are formatted
+    /// into a reused buffer, so submission allocates nothing per member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero.
+    pub fn submit_cpu_parallel(
+        &mut self,
+        spec: TaskSpec<'_>,
+        threads: usize,
+        on_all_done: impl FnOnce(&mut Machine) + 'static,
+    ) {
+        assert!(threads > 0, "parallel submission needs at least one task");
+        let gang = Gang::join(threads, on_all_done);
+        for t in 0..threads {
+            self.label_buf.clear();
+            // Writing into a String cannot fail.
+            let _ = write!(self.label_buf, "{}#{t}", spec.name);
+            let label = self.trace.intern(&self.label_buf);
+            self.submit_task(&spec, label, gang.clone());
+        }
+    }
+
+    fn submit_task(&mut self, spec: &TaskSpec<'_>, label: Symbol, on_done: Rc<dyn Join>) -> TaskId {
+        let affinity = spec.affinity.unwrap_or(match spec.class {
+            TaskClass::Foreground => self.big_cores,
+            _ => self.all_cores,
+        });
         let id = TaskId(self.fresh_obj_id());
         let idx = self.task_slot(id);
-        let label = self.trace.intern(&spec.name);
         self.tasks[idx] = Some(Task {
             label,
             work_kind: spec.work,
@@ -56,65 +121,17 @@ impl Machine {
             class: spec.class,
             affinity,
             priority: spec.priority,
-            on_done: Some(Box::new(on_done)),
+            on_done: Some(on_done),
             pending_penalty: SimSpan::ZERO,
-            last_core: None,
-            cpu_time: SimSpan::ZERO,
         });
         let core = self.place(affinity);
         self.enqueue(core, id);
         id
     }
 
-    /// Submits a gang of CPU tasks; `on_all_done` fires when the last one
-    /// completes (fork-join, as a multi-threaded TFLite op does).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `specs` is empty.
-    pub fn submit_cpu_parallel(
-        &mut self,
-        specs: Vec<TaskSpec>,
-        on_all_done: impl FnOnce(&mut Machine) + 'static,
-    ) -> Vec<TaskId> {
-        assert!(
-            !specs.is_empty(),
-            "parallel submission needs at least one task"
-        );
-        type JoinSlot = Rc<RefCell<(usize, Option<Box<dyn FnOnce(&mut Machine)>>)>>;
-        let join: JoinSlot = Rc::new(RefCell::new((specs.len(), Some(Box::new(on_all_done)))));
-        specs
-            .into_iter()
-            .map(|spec| {
-                let join = join.clone();
-                self.submit_cpu(spec, move |m| {
-                    let cb = {
-                        let mut j = join.borrow_mut();
-                        j.0 -= 1;
-                        if j.0 == 0 {
-                            j.1.take()
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some(cb) = cb {
-                        cb(m);
-                    }
-                })
-            })
-            .collect()
-    }
-
     /// Total runnable + running CPU tasks.
     pub fn cpu_load(&self) -> usize {
         self.cores.iter().map(|c| c.load()).sum()
-    }
-
-    fn default_affinity(&self, class: TaskClass) -> CoreMask {
-        match class {
-            TaskClass::Foreground => CoreMask::of(&self.spec.big_core_ids()),
-            _ => CoreMask::of(&(0..self.cores.len()).collect::<Vec<_>>()),
-        }
     }
 
     fn task_slot(&mut self, id: TaskId) -> usize {
@@ -230,7 +247,6 @@ impl Machine {
             // window, before useful work resumed.
             if now > running.work_start {
                 let ran = now.since(running.work_start);
-                task.cpu_time += ran;
                 task.remaining -= ran.as_secs() * running.rate;
             }
         }
@@ -284,7 +300,6 @@ impl Machine {
             let quantum = BASE_QUANTUM * task.class.weight();
             let run_secs = (task.remaining / rate).max(0.0);
             let slice = SimSpan::from_secs(run_secs).min(quantum).max(MIN_SLICE);
-            task.last_core = Some(core);
             (rate, slice, task.label, penalty)
         };
         overhead += penalty;
@@ -330,21 +345,17 @@ impl Machine {
                 // aitax-allow(panic-path): task records outlive their scheduled events by construction
                 .expect("running task has no record");
             let ran = now.since(running.work_start);
-            task.cpu_time += ran;
             task.remaining -= ran.as_secs() * running.rate;
             task.remaining <= WORK_EPSILON
         };
 
         if finished {
-            let cb = {
-                // aitax-allow(panic-path): task records outlive their scheduled events by construction
-                let task = self.tasks[id.0 as usize].as_mut().unwrap();
-                task.on_done.take()
-            };
-            self.tasks[id.0 as usize] = None;
+            let on_done = self.tasks[id.0 as usize]
+                .take()
+                .and_then(|task| task.on_done);
             self.stats_mut().tasks_completed += 1;
-            if let Some(cb) = cb {
-                cb(self);
+            if let Some(gang) = on_done {
+                gang.member_done(self);
             }
             if self.cores[core].running.is_none() {
                 self.dispatch_next(core);
@@ -529,10 +540,8 @@ mod tests {
         let mut m = machine();
         let joined = Rc::new(Cell::new(0));
         let j = joined.clone();
-        let specs = (0..4)
-            .map(|i| TaskSpec::foreground(format!("g{i}"), Work::Fp32Flops(1e6)))
-            .collect();
-        m.submit_cpu_parallel(specs, move |_| j.set(j.get() + 1));
+        let gang = TaskSpec::foreground("g", Work::Fp32Flops(1e6));
+        m.submit_cpu_parallel(gang, 4, move |_| j.set(j.get() + 1));
         m.run_until_idle();
         assert_eq!(joined.get(), 1);
     }

@@ -1,5 +1,7 @@
 //! Schedulable CPU work.
 
+use std::borrow::Cow;
+
 use aitax_soc::CpuCoreSpec;
 
 /// Identifier of a submitted CPU task.
@@ -122,10 +124,14 @@ impl CoreMask {
 }
 
 /// Everything needed to submit one CPU task.
+///
+/// The name is interned into the trace's symbol table at submission, so
+/// a spec only needs to borrow it: static labels and labels a compiled
+/// plan owns cost no allocation per task.
 #[derive(Debug, Clone)]
-pub struct TaskSpec {
+pub struct TaskSpec<'a> {
     /// Human-readable label (appears in traces).
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// The work to perform.
     pub work: Work,
     /// Scheduling class.
@@ -141,49 +147,35 @@ pub struct TaskSpec {
     pub priority: i8,
 }
 
-impl TaskSpec {
-    /// A foreground task (big-core affine by default).
-    pub fn foreground(name: impl Into<String>, work: Work) -> Self {
+impl<'a> TaskSpec<'a> {
+    fn new(name: impl Into<Cow<'a, str>>, work: Work, class: TaskClass) -> Self {
         TaskSpec {
             name: name.into(),
             work,
-            class: TaskClass::Foreground,
+            class,
             affinity: None,
             priority: 0,
         }
+    }
+
+    /// A foreground task (big-core affine by default).
+    pub fn foreground(name: impl Into<Cow<'a, str>>, work: Work) -> Self {
+        TaskSpec::new(name, work, TaskClass::Foreground)
     }
 
     /// A background task (runs anywhere).
-    pub fn background(name: impl Into<String>, work: Work) -> Self {
-        TaskSpec {
-            name: name.into(),
-            work,
-            class: TaskClass::Background,
-            affinity: None,
-            priority: 0,
-        }
+    pub fn background(name: impl Into<Cow<'a, str>>, work: Work) -> Self {
+        TaskSpec::new(name, work, TaskClass::Background)
     }
 
     /// A kernel/driver work item.
-    pub fn kernel(name: impl Into<String>, work: Work) -> Self {
-        TaskSpec {
-            name: name.into(),
-            work,
-            class: TaskClass::KernelWork,
-            affinity: None,
-            priority: 0,
-        }
+    pub fn kernel(name: impl Into<Cow<'a, str>>, work: Work) -> Self {
+        TaskSpec::new(name, work, TaskClass::KernelWork)
     }
 
     /// An NNAPI CPU-fallback execution slice.
-    pub fn nnapi_fallback(name: impl Into<String>, work: Work) -> Self {
-        TaskSpec {
-            name: name.into(),
-            work,
-            class: TaskClass::NnapiFallback,
-            affinity: None,
-            priority: 0,
-        }
+    pub fn nnapi_fallback(name: impl Into<Cow<'a, str>>, work: Work) -> Self {
+        TaskSpec::new(name, work, TaskClass::NnapiFallback)
     }
 
     /// Overrides the affinity.

@@ -57,10 +57,8 @@ fn parallel_join_fires_once() {
         let mut m = machine(seed);
         let joined = Rc::new(Cell::new(0usize));
         let j = joined.clone();
-        let specs = (0..width)
-            .map(|i| TaskSpec::foreground(format!("g{i}"), Work::Fp32Flops(units as f64 * 1e6)))
-            .collect();
-        m.submit_cpu_parallel(specs, move |_| j.set(j.get() + 1));
+        let gang = TaskSpec::foreground("g", Work::Fp32Flops(units as f64 * 1e6));
+        m.submit_cpu_parallel(gang, width, move |_| j.set(j.get() + 1));
         m.run_until_idle();
         assert_eq!(joined.get(), 1, "case {case}");
     }

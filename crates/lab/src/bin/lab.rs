@@ -43,6 +43,18 @@ fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
         .unwrap_or(default)
 }
 
+/// Parses the value of a count flag, which must be at least 1.
+fn count<T: std::str::FromStr + PartialEq + From<u8>>(
+    flag: &str,
+    value: &str,
+) -> Result<T, String> {
+    match value.parse() {
+        Ok(n) if n == T::from(0) => Err(format!("{flag} must be >= 1")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("{flag} must be a positive integer")),
+    }
+}
+
 fn usage() -> &'static str {
     "usage: lab --grid NAME [--threads N] [--repeats N] [--iters N] [--seed N]\n\
      \x20          [--out DIR] [--bench PATH] [--trace PATH] [--verify-determinism]\n\
@@ -91,26 +103,9 @@ fn parse(args: &[String]) -> Result<Opts, String> {
             }
             "--grid" => opts.grid = Some(value("--grid")?),
             "--list" => opts.list = true,
-            "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads must be a positive integer".to_string())?;
-                if opts.threads == 0 {
-                    return Err("--threads must be >= 1".into());
-                }
-            }
-            "--repeats" => {
-                opts.repeats = Some(
-                    value("--repeats")?
-                        .parse()
-                        .map_err(|_| "--repeats must be a positive integer".to_string())?,
-                );
-            }
-            "--iters" => {
-                opts.iters = value("--iters")?
-                    .parse()
-                    .map_err(|_| "--iters must be a positive integer".to_string())?;
-            }
+            "--threads" => opts.threads = count(arg, &value(arg)?)?,
+            "--repeats" => opts.repeats = Some(count(arg, &value(arg)?)?),
+            "--iters" => opts.iters = count(arg, &value(arg)?)?,
             "--seed" => {
                 opts.seed = value("--seed")?
                     .parse()
