@@ -19,18 +19,21 @@ use aitax_analyzer::workspace::load_files;
 use std::path::Path;
 
 /// The full pre-graph table, as last hand-maintained. Kept here — and
-/// only here — as the coverage bar the graph walk must clear.
+/// only here — as the coverage bar the graph walk must clear. An entry
+/// whose function was later replaced names its successor: the
+/// calendar's `bucket_has_live` and `drain_dead` became `live_upto_two`
+/// and `drain_to_lone` when lone entries stopped cascading.
 const LEGACY_HOT_PATH_FNS: [&str; 29] = [
     "accel_enqueue",
     "advance_clock",
-    "bucket_has_live",
     "cancel",
     "cancel_timer",
     "dispatch_next",
-    "drain_dead",
+    "drain_to_lone",
     "first_due",
     "gov_observe",
     "gov_retarget",
+    "live_upto_two",
     "maybe_start_accel",
     "migrate",
     "next",

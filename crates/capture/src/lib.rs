@@ -1,5 +1,4 @@
-//! Data-capture models: camera sensor, random benchmark inputs, sensor
-//! fusion.
+//! Data-capture models: camera sensor and random benchmark inputs.
 //!
 //! §II-A of the paper: "Acquiring data from sensors can seem trivial on
 //! the surface, but can easily complicate an application's architecture"
@@ -11,12 +10,9 @@
 //!   frame-rate cadence, with sensor readout and delivery-jitter timing,
 //! * [`randgen`] — the cost of the random-tensor inputs benchmarks use
 //!   instead of real capture, including the libc++/libstdc++ cost
-//!   inversion the paper calls out as a benchmarking fallacy,
-//! * [`fusion`] — a small multi-sensor fusion filter (the "fusing multiple
-//!   sources of data into a single metric" example of §II-A).
+//!   inversion the paper calls out as a benchmarking fallacy.
 
 pub mod camera;
-pub mod fusion;
 pub mod randgen;
 
 pub use camera::{CameraConfig, CameraSource};

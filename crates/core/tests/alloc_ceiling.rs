@@ -11,6 +11,10 @@
 //! * allocations per iteration stay at or under a committed ceiling, set
 //!   just above the measured value — lower it when a change makes
 //!   iterations cheaper, never raise it to let one through;
+//! * a whole repeated run on the warmed context — machine reset, label
+//!   interning into the cleared symbol table, iterations, report — stays
+//!   under a ceiling of the same kind, which pins that re-interning a
+//!   run's labels reuses the table's capacity instead of allocating;
 //! * bytes allocated per iteration stay below the model's input size,
 //!   which proves the benchmark's random input tensor is priced, not
 //!   materialised.
@@ -73,23 +77,26 @@ fn counted(ctx: &mut SimContext, cfg: &E2eConfig, iterations: usize) -> (u64, u6
 
 #[test]
 fn steady_state_cli_iterations_stay_under_ceilings() {
-    // (label, model dtype, engine, allocations-per-iteration ceiling)
+    // (label, model dtype, engine, allocations-per-iteration ceiling,
+    //  allocations-per-run ceiling)
     let cases = [
         (
             "mobilenet-v1 f32, tflite cpu x4",
             DType::F32,
             Engine::tflite_cpu(4),
             37.0,
+            375,
         ),
         (
             "mobilenet-v1 i8, hexagon",
             DType::I8,
             Engine::TfLiteHexagon { threads: 4 },
             22.0,
+            230,
         ),
     ];
     let mut ctx = SimContext::new();
-    for (label, dtype, engine, ceiling) in cases {
+    for (label, dtype, engine, ceiling, run_ceiling) in cases {
         let cfg = E2eConfig::new(ModelId::MobileNetV1, dtype).engine(engine);
         // Warm-up: boots the machine, fills the graph/plan caches and
         // mints the plan's labels.
@@ -100,10 +107,18 @@ fn steady_state_cli_iterations_stay_under_ceilings() {
         let allocs = (long_allocs as f64 - short_allocs as f64) / extra;
         let bytes = (long_bytes as f64 - short_bytes as f64) / extra;
         let input_bytes = cached_graph(ModelId::MobileNetV1, dtype).input_bytes();
-        eprintln!("{label}: {allocs:.2} allocations, {bytes:.0} bytes per iteration");
+        eprintln!(
+            "{label}: {allocs:.2} allocations, {bytes:.0} bytes per iteration; \
+             {short_allocs} allocations per warmed {SHORT}-iteration run"
+        );
         assert!(
             allocs <= ceiling,
             "{label}: {allocs:.2} allocations per iteration exceed the ceiling {ceiling}"
+        );
+        assert!(
+            short_allocs <= run_ceiling,
+            "{label}: a warmed {SHORT}-iteration run made {short_allocs} allocations, \
+             over the ceiling {run_ceiling}"
         );
         assert!(
             bytes < input_bytes as f64,

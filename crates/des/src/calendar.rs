@@ -434,26 +434,45 @@ impl Calendar {
         high | ((s as u64) << shift)
     }
 
-    /// Whether any entry in bucket (`lvl`, `s`) is still live.
-    fn bucket_has_live(&self, lvl: usize, s: usize) -> bool {
+    /// How many entries in bucket (`lvl`, `s`) are still live, counting
+    /// no further than two.
+    fn live_upto_two(&self, lvl: usize, s: usize) -> usize {
+        let mut live = 0;
         let mut idx = self.buckets[lvl][s].head;
-        while idx != NIL {
+        while idx != NIL && live < 2 {
             let e = &self.ents[idx as usize];
-            if e.live {
-                return true;
-            }
+            live += usize::from(e.live);
             idx = e.next;
         }
-        false
+        live
     }
 
-    /// Drains a bucket known to hold only tombstones, retiring them.
-    fn drain_dead(&mut self, lvl: usize, s: usize) {
+    /// Drains a bucket holding at most one live entry, retiring its
+    /// tombstones in list order. Returns the live entry, or [`NIL`].
+    fn drain_to_lone(&mut self, lvl: usize, s: usize) -> u32 {
+        let mut lone = NIL;
         while self.buckets[lvl][s].head != NIL {
             let idx = self.take_head(lvl, s);
-            debug_assert!(!self.ents[idx as usize].live);
-            self.retire(idx);
+            if self.ents[idx as usize].live {
+                debug_assert_eq!(lone, NIL, "bucket held two live entries");
+                lone = idx;
+            } else {
+                self.retire(idx);
+            }
         }
+        lone
+    }
+
+    /// Fires live entry `idx`, which has left its bucket and is the
+    /// earliest pending event: recycles its slot and moves the clock to
+    /// its fire time.
+    fn fire(&mut self, idx: u32) -> (SimTime, Token) {
+        let e = self.ents[idx as usize];
+        let (generation, _) = self.retire(idx);
+        debug_assert!(e.time >= self.now.as_ns(), "event fired in the past");
+        self.advance_clock(e.time);
+        self.fired_total += 1;
+        (SimTime::from_ns(e.time), Token::pack(generation, idx))
     }
 
     /// Pops the next live event, advancing the clock to its fire time.
@@ -469,24 +488,28 @@ impl Calendar {
                 // them shares one fire time, and the list is live-FIFO by
                 // the cascade invariant — the head is the next event.
                 let idx = self.take_head(0, s);
-                let e = self.ents[idx as usize];
-                let (generation, was_live) = self.retire(idx);
-                if !was_live {
+                if !self.ents[idx as usize].live {
+                    self.retire(idx);
                     continue;
                 }
-                debug_assert!(e.time >= self.now.as_ns(), "event fired in the past");
-                self.advance_clock(e.time);
-                self.fired_total += 1;
-                return Some((SimTime::from_ns(e.time), Token::pack(generation, idx)));
+                return Some(self.fire(idx));
             }
-            // A higher-level bucket: enter it only if it still holds a
-            // live event (committing the clock to its range start, which
-            // cascades it); otherwise clean out the tombstones in place.
-            if self.bucket_has_live(lvl, s) {
+            // A higher-level bucket. With two or more live events, enter
+            // it (committing the clock to its range start, which cascades
+            // it). A lone live event is the earliest one — every lower
+            // level is empty from `now`'s digit on, and everything else
+            // lies in later buckets — so it fires straight from here,
+            // after its bucket's tombstones retire in the order a cascade
+            // would have retired them. With none, clean out the
+            // tombstones in place.
+            if self.live_upto_two(lvl, s) == 2 {
                 let start = self.bucket_start(lvl, s).max(self.now.as_ns());
                 self.advance_clock(start);
-            } else {
-                self.drain_dead(lvl, s);
+                continue;
+            }
+            let lone = self.drain_to_lone(lvl, s);
+            if lone != NIL {
+                return Some(self.fire(lone));
             }
         }
     }
@@ -508,7 +531,9 @@ impl Calendar {
                 // Candidate buckets are visited in range order, so the
                 // first bucket with a live entry holds the minimum.
                 Some(t) => return Some(SimTime::from_ns(t)),
-                None => self.drain_dead(lvl, s),
+                None => {
+                    self.drain_to_lone(lvl, s);
+                }
             }
         }
     }

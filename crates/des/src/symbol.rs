@@ -6,9 +6,12 @@
 //! not perturb the system under test. Interning fixes that: labels are
 //! deduplicated once at task-submission time into a [`SymbolTable`],
 //! and every trace event carries a `Copy` 4-byte [`Symbol`]. Strings
-//! are materialized only at report/export time.
+//! are materialized only at report/export time. Interning itself is on
+//! the hot path, so the table is an arena that a reused machine clears
+//! and refills without allocating.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// An interned trace label: a dense index into the [`SymbolTable`]
 /// that minted it.
@@ -35,9 +38,11 @@ impl Symbol {
 
 /// A deduplicating string table mapping labels to [`Symbol`]s.
 ///
-/// The reverse index is a `BTreeMap`, so symbol assignment depends only
-/// on intern order — never on hash iteration order — keeping runs with
-/// the same seed byte-identical.
+/// The strings sit back to back in one `String`, one `(start, end)` span
+/// per symbol. The reverse index is open-addressed (`symbol + 1`, 0 for
+/// empty), at most half full, probed linearly from a fixed FNV-1a hash.
+/// Symbols are numbered in intern order, so the hash never decides a
+/// number, and every run with the same seed is byte-identical.
 ///
 /// # Example
 ///
@@ -50,10 +55,11 @@ impl Symbol {
 /// assert_eq!(a, b);
 /// assert_eq!(table.resolve(a), "inference");
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct SymbolTable {
-    strings: Vec<Box<str>>,
-    index: BTreeMap<Box<str>, u32>,
+    text: String,
+    spans: Vec<(usize, usize)>,
+    slots: Vec<u32>,
 }
 
 impl SymbolTable {
@@ -62,20 +68,49 @@ impl SymbolTable {
         Self::default()
     }
 
+    /// The index slot holding `s`, or the empty slot where it belongs.
+    fn probe(&self, s: &str) -> usize {
+        let hash = s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1_0000_01b3)
+        });
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.slots[i] != 0 && self.str_at(self.slots[i] as usize - 1) != s {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    fn str_at(&self, i: usize) -> &str {
+        &self.text[self.spans[i].0..self.spans[i].1]
+    }
+
     /// Interns `s`, returning the existing symbol if already present.
     ///
-    /// Allocates only the first time a given string is seen; repeat
-    /// interning is a lookup.
+    /// A repeat is a hash and usually one string compare; a new string
+    /// allocates only when the arena, spans or index outgrow their
+    /// capacity.
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if let Some(&i) = self.index.get(s) {
+        if 2 * (self.spans.len() + 1) > self.slots.len() {
+            // Double the index (64 slots at first) and re-insert.
+            self.slots = vec![0; (2 * self.slots.len()).max(64)];
+            for i in 0..self.spans.len() {
+                let slot = self.probe(self.str_at(i));
+                self.slots[slot] = i as u32 + 1;
+            }
+        }
+        let slot = self.probe(s);
+        if let Some(i) = self.slots[slot].checked_sub(1) {
             return Symbol(i);
         }
-        let i = u32::try_from(self.strings.len())
+        let entry = u32::try_from(self.spans.len() + 1)
             // aitax-allow(panic-path): 2^32 distinct labels means the workload generator is broken
             .expect("symbol table overflow");
-        self.strings.push(s.into());
-        self.index.insert(s.into(), i);
-        Symbol(i)
+        let start = self.text.len();
+        self.text.push_str(s);
+        self.spans.push((start, self.text.len()));
+        self.slots[slot] = entry;
+        Symbol(entry - 1)
     }
 
     /// The string a symbol stands for.
@@ -84,33 +119,49 @@ impl SymbolTable {
     ///
     /// Panics if `sym` was minted by a different table.
     pub fn resolve(&self, sym: Symbol) -> &str {
-        self.strings
-            .get(sym.0 as usize)
-            // aitax-allow(panic-path): a foreign symbol is a cross-table logic bug worth crashing on
-            .expect("symbol resolved against a table that did not intern it")
+        let i = sym.0 as usize;
+        assert!(
+            i < self.len(),
+            "symbol resolved against a table that did not intern it"
+        );
+        self.str_at(i)
     }
 
     /// Forgets every interned string, invalidating previously minted
-    /// symbols. The string vector keeps its capacity, so a reused table
-    /// re-interns its first labels without growing.
+    /// symbols. The arena, spans and index keep their capacity, so a
+    /// reused table re-interns a run's labels without allocating.
     ///
     /// A reused table must start empty rather than carry symbols over:
     /// symbol indices are assigned in intern order, so retained content
     /// would make the numbering (and thus trace bytes) depend on what
     /// earlier runs happened to intern.
     pub fn clear(&mut self) {
-        self.strings.clear();
-        self.index.clear();
+        self.text.clear();
+        self.spans.clear();
+        self.slots.fill(0);
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.spans.len()
     }
 
     /// Whether nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.spans.is_empty()
+    }
+}
+
+/// Prints the derived layout of the `Vec` + `BTreeMap` this table used
+/// to be, which report fingerprints hash.
+impl fmt::Debug for SymbolTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let strings: Vec<&str> = (0..self.len()).map(|i| self.str_at(i)).collect();
+        let index: BTreeMap<&str, u32> = strings.iter().copied().zip(0..).collect();
+        f.debug_struct("SymbolTable")
+            .field("strings", &strings)
+            .field("index", &index)
+            .finish()
     }
 }
 
@@ -169,6 +220,71 @@ mod tests {
         // Post-clear numbering matches a brand-new table.
         assert_eq!(t.intern("z").index(), 0);
         assert_eq!(t.intern("a").index(), 1);
+    }
+
+    #[test]
+    fn index_grows_past_its_initial_size() {
+        let mut t = SymbolTable::new();
+        let labels: Vec<String> = (0..12_000)
+            .map(|i| format!("op{}#{}", i / 4, i % 4))
+            .collect();
+        for (i, l) in labels.iter().enumerate() {
+            assert_eq!(t.intern(l).index() as usize, i);
+        }
+        assert!(t.slots.len() >= 2 * labels.len());
+        for (i, l) in labels.iter().enumerate() {
+            assert_eq!(t.intern(l).index() as usize, i, "{l} re-interned as new");
+            assert_eq!(t.resolve(Symbol(i as u32)), l);
+        }
+        assert_eq!(t.len(), labels.len());
+    }
+
+    #[test]
+    fn clear_and_refill_keeps_capacity() {
+        let labels: Vec<String> = (0..500).map(|i| format!("conv2d#{i}")).collect();
+        let mut t = SymbolTable::new();
+        labels.iter().for_each(|l| {
+            t.intern(l);
+        });
+        let caps = |t: &SymbolTable| (t.text.capacity(), t.spans.capacity(), t.slots.capacity());
+        let before = caps(&t);
+        for _ in 0..3 {
+            t.clear();
+            for (i, l) in labels.iter().enumerate() {
+                assert_eq!(t.intern(l).index() as usize, i);
+            }
+            assert_eq!(caps(&t), before, "refill reallocated");
+        }
+    }
+
+    /// The storage the table replaced, with its derived `Debug`.
+    mod old {
+        use std::collections::BTreeMap;
+
+        #[derive(Debug, Default)]
+        pub struct SymbolTable {
+            pub strings: Vec<Box<str>>,
+            pub index: BTreeMap<Box<str>, u32>,
+        }
+    }
+
+    #[test]
+    fn debug_matches_the_old_derived_layout() {
+        let mut t = SymbolTable::new();
+        let mut want = old::SymbolTable::default();
+        for l in ["preprocess \"frame\"", "b#1", "", "a\n", "b#0", "b#1"] {
+            t.intern(l);
+            if !want.index.contains_key(l) {
+                want.index.insert(l.into(), want.strings.len() as u32);
+                want.strings.push(l.into());
+            }
+        }
+        assert_eq!(format!("{t:?}"), format!("{want:?}"));
+        assert_eq!(format!("{t:#?}"), format!("{want:#?}"));
+        assert_eq!(
+            format!("{:?}", SymbolTable::new()),
+            "SymbolTable { strings: [], index: {} }"
+        );
     }
 
     #[test]

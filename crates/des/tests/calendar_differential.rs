@@ -336,3 +336,46 @@ fn far_future_cascades_match_legacy_heap() {
     }
     assert_eq!(h.wheel.pending(), 0, "{ctx}");
 }
+
+/// Sparse regime: 1–8 pending events spread from 1 µs to 50 ms out, so
+/// the earliest bucket usually sits at level 2–4 holding a single live
+/// event (often beside tombstones) and pops take the wheel's lone-entry
+/// path instead of cascading. Lone events are cancelled too, leaving
+/// tombstone-only buckets for the next pop or peek to clear.
+#[test]
+fn sparse_lone_entries_match_legacy_heap() {
+    let mut rng = SimRng::seed_from(0xD1FF_5AA5);
+    let mut h = Harness::new();
+    let ops = (total_ops() / 10).max(2_000);
+    for op in 0..ops {
+        let ctx = format!("sparse op {op}");
+        let pending = h.live.len();
+        let choice = match pending {
+            0 => 0,
+            8.. => rng.uniform_u64(4, 10),
+            _ => rng.uniform_u64(0, 10),
+        };
+        match choice {
+            0..=3 => {
+                // Log-uniform over 1 µs .. 50 ms.
+                let exp = rng.uniform(3.0, 7.7);
+                let delay = 10f64.powf(exp) as u64;
+                h.schedule(delay, &ctx);
+            }
+            4..=6 => {
+                h.pop(&ctx);
+            }
+            7 | 8 => {
+                let i = rng.uniform_u64(0, pending as u64) as usize;
+                h.cancel_live(i, &ctx);
+            }
+            _ => h.check_peek(&ctx),
+        }
+        h.check_agreement(&ctx);
+    }
+    let ctx = "sparse drain";
+    while h.pop(ctx) {
+        h.check_agreement(ctx);
+    }
+    assert_eq!(h.wheel.pending(), 0, "{ctx}");
+}

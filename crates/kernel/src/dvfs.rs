@@ -18,6 +18,7 @@
 
 use aitax_des::trace::{TraceKind, TraceResource};
 use aitax_des::{SimSpan, SimTime};
+use aitax_soc::CoreRailSpec;
 
 use crate::machine::Machine;
 use crate::task::TaskClass;
@@ -59,7 +60,7 @@ impl DvfsPolicy {
 }
 
 /// Per-core governor state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CoreGov {
     /// EWMA busy-fraction estimate in `[0, 1]`.
     util: f64,
@@ -70,17 +71,33 @@ pub(crate) struct CoreGov {
     pub mult: f64,
     /// Current frequency in Hz.
     pub freq_hz: f64,
+    /// The rail's active power at `freq_hz`, cached for
+    /// [`Machine::current_power_w`]: busy states change far more often
+    /// than clocks do.
+    pub active_w: f64,
 }
 
 impl CoreGov {
-    pub(crate) fn new(nominal_hz: f64) -> Self {
-        CoreGov {
-            util: 0.0,
-            busy: false,
-            last_update: SimTime::ZERO,
-            mult: 1.0,
-            freq_hz: nominal_hz,
-        }
+    /// A cold governor holding its core at the rail's nominal point.
+    pub(crate) fn nominal(rail: &CoreRailSpec) -> Self {
+        let mut gov = CoreGov::default();
+        gov.clock(rail, rail.nominal().freq_hz);
+        gov
+    }
+
+    /// Clocks the core at `freq_hz`. The cached power is checked here,
+    /// where it is computed, so it is always a value the thermal model
+    /// accepts.
+    fn clock(&mut self, rail: &CoreRailSpec, freq_hz: f64) {
+        let w = rail.active_power_w(freq_hz);
+        assert!(
+            w.is_finite() && w >= 0.0,
+            "{}: {w} W at {freq_hz} Hz",
+            rail.name
+        );
+        self.freq_hz = freq_hz;
+        self.mult = freq_hz / rail.nominal().freq_hz;
+        self.active_w = w;
     }
 }
 
@@ -130,13 +147,11 @@ impl Machine {
         };
         let rail = self.spec.power.core_rail(core);
         let opp = rail.opp_for_target(target);
-        let nominal = rail.nominal().freq_hz;
         let gov = &mut self.governor[core];
         if (opp.freq_hz - gov.freq_hz).abs() < 0.5 {
             return;
         }
-        gov.freq_hz = opp.freq_hz;
-        gov.mult = opp.freq_hz / nominal;
+        gov.clock(rail, opp.freq_hz);
         let now = self.cal.now();
         self.trace.record(
             now,
@@ -227,6 +242,97 @@ mod tests {
         m.run_until_idle();
         let nominal = m.spec().power.core_rail(4).nominal().freq_hz;
         assert_eq!(m.core_freq_hz(4), nominal);
+    }
+
+    /// `current_power_w` recomputed from the spec alone: no cached rail
+    /// power, every running core priced at its current clock.
+    fn power_from_spec(m: &Machine) -> f64 {
+        let p = &m.spec().power;
+        let mut w = p.interconnect.uncore_w;
+        for (i, rail) in p.core_rails.iter().enumerate() {
+            w += if m.cores[i].running.is_some() {
+                rail.active_power_w(m.core_freq_hz(i))
+            } else {
+                rail.idle_power_w()
+            };
+        }
+        let accel = |busy: bool, busy_w: f64, idle_w: f64| if busy { busy_w } else { idle_w };
+        w += accel(m.dsp.running.is_some(), p.dsp.busy_w, p.dsp.idle_power_w());
+        w += accel(m.gpu.running.is_some(), p.gpu.busy_w, p.gpu.idle_power_w());
+        if let Some(npu) = &p.npu {
+            w += accel(m.npu.running.is_some(), npu.busy_w, npu.idle_power_w());
+        }
+        w
+    }
+
+    /// Submits one random piece of work: a task of a random class
+    /// (sometimes pinned to one core), a gang, or an accelerator job.
+    fn submit_random(m: &mut Machine, rng: &mut aitax_des::SimRng) {
+        let cycles = Work::Cycles(rng.uniform(1e5, 3e7));
+        let spec = match rng.uniform_u64(0, 4) {
+            0 => TaskSpec::foreground("fg", cycles),
+            1 => TaskSpec::background("bg", cycles),
+            2 => TaskSpec::kernel("k", cycles),
+            _ => TaskSpec::nnapi_fallback("nn", cycles),
+        };
+        let cores = m.spec().power.core_rails.len() as u64;
+        match rng.uniform_u64(0, 6) {
+            0 => {
+                let core = rng.uniform_u64(0, cores) as usize;
+                m.submit_cpu(spec.with_affinity(CoreMask::of(&[core])), |_| {});
+            }
+            1 => m.submit_cpu_parallel(spec, rng.uniform_u64(1, 5) as usize, |_| {}),
+            2 => m.submit_dsp_raw("dsp", SimSpan::from_us(rng.uniform(50.0, 3000.0)), |_| {}),
+            3 if m.spec().npu.is_some() => {
+                m.submit_npu_raw("npu", SimSpan::from_us(rng.uniform(50.0, 3000.0)), |_| {})
+            }
+            _ => {
+                m.submit_cpu(spec, |_| {});
+            }
+        }
+    }
+
+    #[test]
+    fn cached_rail_power_matches_the_spec_after_every_step() {
+        let mut rng = aitax_des::SimRng::seed_from(0xD7F5_0001);
+        for soc in [SocId::Sd845, SocId::Sd865] {
+            let mut m = Machine::new(SocCatalog::get(soc), 1);
+            let mut clocks = std::collections::BTreeSet::new();
+            for case in 0..12 {
+                // Reuse the machine, as a SimContext does: reset must
+                // refresh every cached value too.
+                m.reset(rng.next_u64());
+                for _ in 0..rng.uniform_u64(4, 24) {
+                    submit_random(&mut m, &mut rng);
+                }
+                // Later arrivals land on cores with an idle history, so
+                // background dispatches downclock.
+                for _ in 0..rng.uniform_u64(1, 6) {
+                    let delay = SimSpan::from_ms(rng.uniform(1.0, 60.0));
+                    let seed = rng.next_u64();
+                    m.after(delay, move |m| {
+                        let mut rng = aitax_des::SimRng::seed_from(seed);
+                        for _ in 0..4 {
+                            submit_random(m, &mut rng);
+                        }
+                    });
+                }
+                let mut steps = 0u64;
+                while m.step() {
+                    steps += 1;
+                    assert_eq!(
+                        m.current_power_w().to_bits(),
+                        power_from_spec(&m).to_bits(),
+                        "{soc:?} case {case} step {steps}: cached rail power is stale"
+                    );
+                    clocks.extend((0..m.cores.len()).map(|i| m.core_freq_hz(i) as u64));
+                }
+            }
+            assert!(
+                clocks.len() > 3,
+                "{soc:?}: the governor barely moved: {clocks:?}"
+            );
+        }
     }
 
     #[test]

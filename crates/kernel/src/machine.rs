@@ -228,12 +228,7 @@ impl Machine {
         let cores = core_specs.iter().map(|_| CoreState::default()).collect();
         let big_cores = CoreMask::of(&spec.big_core_ids());
         let all_cores = CoreMask::of(&(0..core_specs.len()).collect::<Vec<_>>());
-        let governor = spec
-            .power
-            .core_rails
-            .iter()
-            .map(|r| CoreGov::new(r.nominal().freq_hz))
-            .collect();
+        let governor = spec.power.core_rails.iter().map(CoreGov::nominal).collect();
         let thermal = ThermalState::new(spec.thermal);
         Machine {
             core_specs,
@@ -290,12 +285,8 @@ impl Machine {
         }
         self.dsp_session_mapped = false;
         self.thermal = ThermalState::new(self.spec.thermal);
-        for (gov, rail) in self
-            .governor
-            .iter_mut()
-            .zip(self.spec.power.core_rails.iter())
-        {
-            *gov = CoreGov::new(rail.nominal().freq_hz);
+        for (gov, rail) in self.governor.iter_mut().zip(&self.spec.power.core_rails) {
+            *gov = CoreGov::nominal(rail);
         }
         self.dvfs = DvfsPolicy::default();
         self.rpc_costs = FastRpcCosts::default();
@@ -549,13 +540,15 @@ impl Machine {
 
     /// Instantaneous package power in watts: every core rail at its
     /// governor-chosen operating point (active) or leakage floor (idle),
-    /// accelerator rails busy or collapsed, plus the uncore floor.
+    /// accelerator rails busy or collapsed, plus the uncore floor. Active
+    /// core power comes from the governor's cache, refreshed whenever a
+    /// clock changes, so the sum is the from-spec one bit for bit.
     pub fn current_power_w(&self) -> f64 {
         let p = &self.spec.power;
         let mut w = p.interconnect.uncore_w;
         for (i, rail) in p.core_rails.iter().enumerate() {
             w += if self.cores[i].running.is_some() {
-                rail.active_power_w(self.governor[i].freq_hz)
+                self.governor[i].active_w
             } else {
                 rail.idle_power_w()
             };
@@ -583,9 +576,16 @@ impl Machine {
     /// Advances the thermal state to now, heating from the power drawn
     /// since the last update. Call *before* changing busy state so the
     /// elapsed stretch is priced at the state it actually ran in.
+    ///
+    /// A second touch at the same instant (a slice end followed by a
+    /// dispatch, say) integrates a zero-length stretch, so it returns
+    /// before pricing power at all.
     pub(crate) fn touch_thermal(&mut self) {
-        let watts = self.current_power_w();
         let now = self.cal.now();
+        if self.thermal.updated_at() == now {
+            return;
+        }
+        let watts = self.current_power_w();
         self.thermal.advance(now, watts);
     }
 
@@ -714,26 +714,23 @@ impl Machine {
         self.maybe_start_accel(AccelKind::Npu);
     }
 
-    fn maybe_start_accel(&mut self, kind: AccelKind) {
-        let state = match kind {
+    fn accel_mut(&mut self, kind: AccelKind) -> &mut AccelState {
+        match kind {
             AccelKind::Dsp => &mut self.dsp,
             AccelKind::Gpu => &mut self.gpu,
             AccelKind::Npu => &mut self.npu,
-        };
-        if state.running.is_some() {
-            return;
         }
-        if state.queue.is_empty() {
+    }
+
+    fn maybe_start_accel(&mut self, kind: AccelKind) {
+        let state = self.accel_mut(kind);
+        if state.running.is_some() || state.queue.is_empty() {
             return;
         }
         // The accelerator flips to busy: integrate heat up to this instant
         // at the old power level first.
         self.touch_thermal();
-        let state = match kind {
-            AccelKind::Dsp => &mut self.dsp,
-            AccelKind::Gpu => &mut self.gpu,
-            AccelKind::Npu => &mut self.npu,
-        };
+        let state = self.accel_mut(kind);
         let Some(job) = state.queue.pop_front() else {
             return;
         };
@@ -764,11 +761,7 @@ impl Machine {
     fn on_accel_done(&mut self, kind: AccelKind) {
         // Price the elapsed busy stretch before the block goes idle.
         self.touch_thermal();
-        let state = match kind {
-            AccelKind::Dsp => &mut self.dsp,
-            AccelKind::Gpu => &mut self.gpu,
-            AccelKind::Npu => &mut self.npu,
-        };
+        let state = self.accel_mut(kind);
         let job = state
             .running
             .take()

@@ -7,7 +7,6 @@
 //! "frequent CPU migrations ... and the core utilization pattern").
 
 use std::cell::Cell;
-use std::fmt::Write as _;
 use std::rc::Rc;
 
 use aitax_des::trace::{TraceKind, TraceResource};
@@ -67,6 +66,14 @@ impl<F: FnOnce(&mut Machine)> Join for Gang<F> {
     }
 }
 
+/// Appends `n` in decimal, as `{n}` would format it.
+fn push_decimal(buf: &mut String, n: usize) {
+    if n >= 10 {
+        push_decimal(buf, n / 10);
+    }
+    buf.push(char::from(b'0' + (n % 10) as u8));
+}
+
 impl Machine {
     /// Submits one CPU task; `on_done` fires when it completes.
     ///
@@ -84,8 +91,9 @@ impl Machine {
     /// Submits a gang of `threads` copies of `spec`, labelled
     /// `{name}#0`, `{name}#1`, …; `on_all_done` fires when the last one
     /// completes (fork-join, as a multi-threaded TFLite op does). The
-    /// gang shares one join record and its member labels are formatted
-    /// into a reused buffer, so submission allocates nothing per member.
+    /// gang shares one join record and its member labels are built in a
+    /// reused buffer — the `{name}#` prefix once, then only each member's
+    /// digits — so submission allocates nothing per member.
     ///
     /// # Panics
     ///
@@ -98,10 +106,13 @@ impl Machine {
     ) {
         assert!(threads > 0, "parallel submission needs at least one task");
         let gang = Gang::join(threads, on_all_done);
+        self.label_buf.clear();
+        self.label_buf.push_str(&spec.name);
+        self.label_buf.push('#');
+        let prefix = self.label_buf.len();
         for t in 0..threads {
-            self.label_buf.clear();
-            // Writing into a String cannot fail.
-            let _ = write!(self.label_buf, "{}#{t}", spec.name);
+            self.label_buf.truncate(prefix);
+            push_decimal(&mut self.label_buf, t);
             let label = self.trace.intern(&self.label_buf);
             self.submit_task(&spec, label, gang.clone());
         }
@@ -477,6 +488,21 @@ mod tests {
 
     /// SD845 big core peak fp32 rate.
     const BIG_FLOPS: f64 = 2.8e9 * 8.0;
+
+    #[test]
+    fn gang_labels_match_formatted_ones() {
+        for n in [0, 7, 9, 10, 11, 99, 100, 1234, usize::MAX] {
+            let mut buf = String::from("op#");
+            push_decimal(&mut buf, n);
+            assert_eq!(buf, format!("op#{n}"));
+        }
+        let mut m = machine();
+        m.submit_cpu_parallel(TaskSpec::foreground("conv", Work::Cycles(1e5)), 12, |_| {});
+        for t in 0..12 {
+            assert_eq!(m.trace.intern(&format!("conv#{t}")).index(), t);
+        }
+        assert_eq!(m.trace.symbols().len(), 12);
+    }
 
     #[test]
     fn single_task_latency_matches_rate() {

@@ -27,7 +27,7 @@ pub mod devices;
 pub mod memory;
 pub mod thermal;
 
-pub use aitax_power::PowerSpec;
+pub use aitax_power::{CoreRailSpec, PowerSpec};
 pub use catalog::{SocCatalog, SocId};
 pub use cpu::{ClusterKind, CpuClusterSpec, CpuCoreSpec};
 pub use devices::{DspSpec, GpuSpec, NpuSpec};

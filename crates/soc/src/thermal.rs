@@ -96,6 +96,12 @@ impl ThermalState {
         self.model.freq_multiplier(self.temp_c)
     }
 
+    /// The instant the state was last advanced (or forced) to. A further
+    /// [`ThermalState::advance`] to this instant integrates nothing.
+    pub fn updated_at(&self) -> SimTime {
+        self.last_update
+    }
+
     /// Advances the thermal state to `now` given the average power
     /// dissipated (in watts) since the last update.
     ///
