@@ -10,8 +10,7 @@ use aitax_lab::{render, scenarios, SweepReport};
 
 fn lab_sweep(name: &str, iters: usize, seed: u64) -> SweepReport {
     let grid = scenarios::by_name(name, iters, seed).expect("registered grid");
-    let results = aitax_lab::run_jobs(grid.expand(), aitax_lab::default_threads());
-    SweepReport::aggregate(&grid, &results)
+    aitax_lab::sweep(&grid, aitax_lab::default_threads())
 }
 
 fn main() {

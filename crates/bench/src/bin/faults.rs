@@ -14,9 +14,7 @@
 use aitax_lab::{render, scenarios, SweepReport};
 
 fn sweep(iters: usize, seed: u64, threads: usize) -> SweepReport {
-    let grid = scenarios::faults(iters, seed);
-    let results = aitax_lab::run_jobs(grid.expand(), threads);
-    SweepReport::aggregate(&grid, &results)
+    aitax_lab::sweep(&scenarios::faults(iters, seed), threads)
 }
 
 fn main() {

@@ -6,13 +6,12 @@
 //! into one distribution per mode (percentiles, CV, CDF) — the paper's
 //! many-runs methodology, not a single long run.
 
-use aitax_lab::{render, scenarios, SweepReport};
+use aitax_lab::{render, scenarios};
 
 fn main() {
     let opts = aitax_bench::opts_from_env();
     let grid = scenarios::fig11(opts.iterations, opts.seed);
-    let results = aitax_lab::run_jobs(grid.expand(), aitax_lab::default_threads());
-    let report = SweepReport::aggregate(&grid, &results);
+    let report = aitax_lab::sweep(&grid, aitax_lab::default_threads());
     aitax_bench::emit(
         "Figure 11 — run-to-run variability (MobileNet v1, CPU)",
         &render::distribution_table(&report),

@@ -2,7 +2,7 @@
 //! companion — every listed benchmark swept end to end through the
 //! aitax-lab engine.
 
-use aitax_lab::{render, scenarios, SweepReport};
+use aitax_lab::{render, scenarios};
 
 fn main() {
     aitax_bench::emit(
@@ -11,8 +11,7 @@ fn main() {
     );
     let opts = aitax_bench::opts_from_env();
     let grid = scenarios::table1(opts.iterations, opts.seed);
-    let results = aitax_lab::run_jobs(grid.expand(), aitax_lab::default_threads());
-    let report = SweepReport::aggregate(&grid, &results);
+    let report = aitax_lab::sweep(&grid, aitax_lab::default_threads());
     aitax_bench::emit(
         "Table I (measured) — end-to-end latency per benchmark, CPU CLI",
         &render::model_latency_table(&report),

@@ -2,7 +2,7 @@
 //! companion — quantized MobileNet through NNAPI on each platform,
 //! traced for energy, swept through the aitax-lab engine.
 
-use aitax_lab::{render, scenarios, SweepReport};
+use aitax_lab::{render, scenarios};
 
 fn main() {
     aitax_bench::emit(
@@ -11,8 +11,7 @@ fn main() {
     );
     let opts = aitax_bench::opts_from_env();
     let grid = scenarios::table2(opts.iterations, opts.seed);
-    let results = aitax_lab::run_jobs(grid.expand(), aitax_lab::default_threads());
-    let report = SweepReport::aggregate(&grid, &results);
+    let report = aitax_lab::sweep(&grid, aitax_lab::default_threads());
     aitax_bench::emit(
         "Table II (measured) — MobileNet v1 int8 via NNAPI app per platform",
         &render::platform_table(&report),

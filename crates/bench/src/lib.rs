@@ -8,39 +8,16 @@
 //! * `AITAX_TSV=1` — emit TSV instead of aligned text.
 
 use aitax_core::experiment::ExperimentOpts;
-use aitax_core::report::Table;
+use aitax_lab::cli::env;
+
+pub use aitax_lab::cli::emit;
 
 /// Reads experiment options from the environment.
 pub fn opts_from_env() -> ExperimentOpts {
-    let mut opts = ExperimentOpts::default();
-    if let Ok(v) = std::env::var("AITAX_ITERS") {
-        if let Ok(n) = v.parse::<usize>() {
-            opts.iterations = n.max(1);
-        }
-    }
-    if let Ok(v) = std::env::var("AITAX_SEED") {
-        if let Ok(s) = v.parse::<u64>() {
-            opts.seed = s;
-        }
-    }
-    opts
-}
-
-/// Whether TSV output was requested.
-pub fn tsv_requested() -> bool {
-    std::env::var("AITAX_TSV")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// Prints a table in the requested format, with a heading.
-pub fn emit(title: &str, table: &Table) {
-    if tsv_requested() {
-        print!("{}", table.render_tsv());
-    } else {
-        println!("## {title}\n");
-        print!("{}", table.render_text());
-        println!();
+    let defaults = ExperimentOpts::default();
+    ExperimentOpts {
+        iterations: env::<usize>("AITAX_ITERS").map_or(defaults.iterations, |n| n.max(1)),
+        seed: env("AITAX_SEED").unwrap_or(defaults.seed),
     }
 }
 
@@ -70,6 +47,7 @@ mod tests {
 
     #[test]
     fn emit_does_not_panic() {
+        use aitax_core::report::Table;
         let mut t = Table::new(vec!["a"]);
         t.row(vec!["1".into()]);
         emit("test", &t);

@@ -1,14 +1,12 @@
-//! Camera sensor pipeline.
+//! Camera sensor configuration.
 //!
 //! Real Android apps request frames from the Camera API and receive them
 //! on a sensor cadence (30 fps typically), after sensor readout and ISP
 //! processing, with delivery jitter from interrupt handling — the §II-A /
-//! Fig. 11 latency sources. Frames produced here are real NV21 buffers
-//! from a deterministic synthetic scene, so downstream pre-processing
-//! exercises true pixel work.
+//! Fig. 11 latency sources. The simulation prices a frame from its
+//! configuration (cadence, readout, payload size); no pixels are built.
 
 use aitax_des::SimSpan;
-use aitax_pipeline::image::YuvNv21Image;
 
 /// Camera configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,58 +53,6 @@ impl CameraConfig {
     }
 }
 
-/// A free-running camera producing deterministic synthetic frames.
-///
-/// # Example
-///
-/// ```
-/// use aitax_capture::{CameraConfig, CameraSource};
-///
-/// let mut cam = CameraSource::new(CameraConfig::vga_preview(), 7);
-/// let a = cam.next_frame();
-/// let b = cam.next_frame();
-/// assert_eq!(a.width(), 640);
-/// assert_ne!(a.bytes(), b.bytes(), "scene evolves between frames");
-/// ```
-#[derive(Debug, Clone)]
-pub struct CameraSource {
-    config: CameraConfig,
-    seed: u64,
-    frame_index: u64,
-}
-
-impl CameraSource {
-    /// Opens a camera with a deterministic scene seed.
-    pub fn new(config: CameraConfig, seed: u64) -> Self {
-        CameraSource {
-            config,
-            seed,
-            frame_index: 0,
-        }
-    }
-
-    /// The configuration this camera runs with.
-    pub fn config(&self) -> &CameraConfig {
-        &self.config
-    }
-
-    /// Number of frames produced so far.
-    pub fn frames_produced(&self) -> u64 {
-        self.frame_index
-    }
-
-    /// Produces the next frame (the scene moves a little every frame).
-    pub fn next_frame(&mut self) -> YuvNv21Image {
-        let frame = YuvNv21Image::synthetic(
-            self.config.width,
-            self.config.height,
-            self.seed.wrapping_add(self.frame_index * 31),
-        );
-        self.frame_index += 1;
-        frame
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,29 +62,5 @@ mod tests {
         let c = CameraConfig::vga_preview();
         assert!((c.frame_interval().as_ms() - 33.333).abs() < 0.01);
         assert_eq!(c.frame_bytes(), 640 * 480 * 3 / 2);
-    }
-
-    #[test]
-    fn frames_have_configured_size() {
-        let mut cam = CameraSource::new(CameraConfig::hd_preview(), 1);
-        let f = cam.next_frame();
-        assert_eq!((f.width(), f.height()), (1280, 720));
-        assert_eq!(cam.frames_produced(), 1);
-    }
-
-    #[test]
-    fn same_seed_same_stream() {
-        let mut a = CameraSource::new(CameraConfig::vga_preview(), 9);
-        let mut b = CameraSource::new(CameraConfig::vga_preview(), 9);
-        for _ in 0..3 {
-            assert_eq!(a.next_frame(), b.next_frame());
-        }
-    }
-
-    #[test]
-    fn different_seeds_differ() {
-        let mut a = CameraSource::new(CameraConfig::vga_preview(), 1);
-        let mut b = CameraSource::new(CameraConfig::vga_preview(), 2);
-        assert_ne!(a.next_frame(), b.next_frame());
     }
 }

@@ -6,8 +6,8 @@
 //! contributed to a large share of overall application latency". This
 //! crate provides:
 //!
-//! * [`camera`] — a camera pipeline producing *real* NV21 frames on a
-//!   frame-rate cadence, with sensor readout and delivery-jitter timing,
+//! * [`camera`] — the camera sensor configuration (resolution, frame
+//!   rate, readout latency) that data-capture pricing reads,
 //! * [`randgen`] — the cost of the random-tensor inputs benchmarks use
 //!   instead of real capture, including the libc++/libstdc++ cost
 //!   inversion the paper calls out as a benchmarking fallacy.
@@ -15,5 +15,5 @@
 pub mod camera;
 pub mod randgen;
 
-pub use camera::{CameraConfig, CameraSource};
+pub use camera::CameraConfig;
 pub use randgen::StdlibFlavor;

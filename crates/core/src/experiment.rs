@@ -3,7 +3,8 @@
 //! Each function regenerates the rows/series of the corresponding exhibit
 //! (see DESIGN.md §3 for the full index). The `aitax-bench` binaries are
 //! thin wrappers around these, and the integration tests assert the
-//! *shape* claims on their outputs.
+//! *shape* claims on their outputs. Figs. 10 and 11 are sweeps and run
+//! as `aitax-lab` grids instead (`aitax_lab::scenarios`).
 
 use aitax_capture::StdlibFlavor;
 use aitax_des::trace::TraceKind;
@@ -416,62 +417,6 @@ fn multitenancy(opts: ExperimentOpts, background_engine: Engine) -> Table {
 /// the single DSP; pre-processing stays flat).
 pub fn fig9(opts: ExperimentOpts) -> Table {
     multitenancy(opts, Engine::TfLiteHexagon { threads: 4 })
-}
-
-/// **Figure 10** — same with background inferences on the **CPU**
-/// (pre-processing and capture inflate; inference stays flat).
-pub fn fig10(opts: ExperimentOpts) -> Table {
-    multitenancy(opts, Engine::tflite_cpu(2))
-}
-
-/// Result of the Fig. 11 experiment.
-#[derive(Debug)]
-pub struct Fig11Result {
-    /// Distribution statistics per mode.
-    pub table: Table,
-    /// Worst relative deviation from the median, benchmark mode.
-    pub benchmark_deviation: f64,
-    /// Worst relative deviation from the median, app mode.
-    pub app_deviation: f64,
-}
-
-/// **Figure 11** — run-to-run latency distribution of MobileNet v1 on the
-/// CPU: tight for the benchmark, up to ~30% from the median in an app.
-pub fn fig11(opts: ExperimentOpts) -> Fig11Result {
-    let mut t = Table::new(vec![
-        "mode",
-        "median_ms",
-        "mean_ms",
-        "p5_ms",
-        "p95_ms",
-        "stddev_ms",
-        "max_dev_from_median",
-    ]);
-    let mut devs = Vec::new();
-    for mode in [RunMode::CliBenchmark, RunMode::AndroidApp] {
-        let r = E2eConfig::new(ModelId::MobileNetV1, DType::F32)
-            .engine(Engine::tflite_cpu(4))
-            .run_mode(mode)
-            .iterations(opts.iterations)
-            .seed(opts.seed)
-            .run();
-        let s = r.e2e_summary();
-        devs.push(s.max_deviation_from_median());
-        t.row(vec![
-            mode.to_string(),
-            fmt_ms(s.median_ms()),
-            fmt_ms(s.mean_ms()),
-            fmt_ms(s.percentile_ms(5.0)),
-            fmt_ms(s.percentile_ms(95.0)),
-            fmt_ms(s.stddev_ms()),
-            fmt_pct(s.max_deviation_from_median()),
-        ]);
-    }
-    Fig11Result {
-        table: t,
-        benchmark_deviation: devs[0],
-        app_deviation: devs[1],
-    }
 }
 
 /// The libc++/libstdc++ random-input-generation asymmetry (§IV-A) — an

@@ -13,9 +13,6 @@
 //! reported on stderr by the `fleet` binary, never in an artifact.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 
 use aitax_core::artifact::{json_escape, json_num, stream_dist_json};
 
@@ -171,28 +168,6 @@ pub fn bench_json(report: &FleetReport) -> String {
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Writes `fleet_<population>.json` and `fleet_<population>.csv` under
-/// `out_dir` (created if missing) and returns the paths written.
-pub fn write_artifacts(report: &FleetReport, out_dir: &Path) -> io::Result<Vec<PathBuf>> {
-    fs::create_dir_all(out_dir)?;
-    let json_path = out_dir.join(format!("fleet_{}.json", report.population));
-    let csv_path = out_dir.join(format!("fleet_{}.csv", report.population));
-    fs::write(&json_path, fleet_json(report))?;
-    fs::write(&csv_path, fleet_csv(report))?;
-    Ok(vec![json_path, csv_path])
-}
-
-/// Writes the population-trajectory file (conventionally
-/// `BENCH_fleet.json` at the repository top level).
-pub fn write_bench_json(report: &FleetReport, path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    fs::write(path, bench_json(report))
 }
 
 #[cfg(test)]

@@ -15,44 +15,20 @@
 //! Environment: `AITAX_SEED` (default for `--seed`), `AITAX_THREADS`
 //! (default for `--threads`).
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use aitax_fleet::{artifact, FleetReport, PopulationSpec};
+use aitax_lab::cli::{self, Common};
 
+/// The fleet-specific options.
 struct Opts {
-    help: bool,
     name: String,
     population: usize,
     requests: u64,
     shards: usize,
-    threads: usize,
-    seed: u64,
     fault_rate: f64,
     multi_tenant_rate: f64,
-    out: PathBuf,
-    bench: PathBuf,
-    verify: bool,
-}
-
-fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Parses the value of a count flag, which must be at least 1.
-fn count<T: std::str::FromStr + PartialEq + From<u8>>(
-    flag: &str,
-    value: &str,
-) -> Result<T, String> {
-    match value.parse() {
-        Ok(n) if n == T::from(0) => Err(format!("{flag} must be >= 1")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("{flag} must be a positive integer")),
-    }
 }
 
 fn usage() -> &'static str {
@@ -78,66 +54,28 @@ fn usage() -> &'static str {
      \x20 --help, -h            print this help"
 }
 
-fn parse(args: &[String]) -> Result<Opts, String> {
+fn parse(args: Vec<String>) -> Result<(Common, Opts), String> {
     let mut opts = Opts {
-        help: false,
         name: "default".into(),
         population: 256,
         requests: 100_000,
         shards: 64,
-        threads: aitax_lab::default_threads(),
-        seed: env_parse("AITAX_SEED", 1),
         fault_rate: 0.03,
         multi_tenant_rate: 0.0,
-        out: PathBuf::from("target/fleet"),
-        bench: PathBuf::from("BENCH_fleet.json"),
-        verify: false,
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => {
-                opts.help = true;
-                return Ok(opts);
-            }
-            "--name" => opts.name = value("--name")?,
-            "--population" => opts.population = count(arg, &value(arg)?)?,
-            "--requests" => opts.requests = count(arg, &value(arg)?)?,
-            "--shards" => opts.shards = count(arg, &value(arg)?)?,
-            "--threads" => opts.threads = count(arg, &value(arg)?)?,
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer".to_string())?;
-            }
-            "--fault-rate" => {
-                opts.fault_rate = value("--fault-rate")?
-                    .parse()
-                    .map_err(|_| "--fault-rate must be a number in [0,1]".to_string())?;
-                if !(0.0..=1.0).contains(&opts.fault_rate) {
-                    return Err("--fault-rate must be in [0,1]".into());
-                }
-            }
-            "--multi-tenant-rate" => {
-                opts.multi_tenant_rate = value("--multi-tenant-rate")?
-                    .parse()
-                    .map_err(|_| "--multi-tenant-rate must be a number in [0,1]".to_string())?;
-                if !(0.0..=1.0).contains(&opts.multi_tenant_rate) {
-                    return Err("--multi-tenant-rate must be in [0,1]".into());
-                }
-            }
-            "--out" => opts.out = PathBuf::from(value("--out")?),
-            "--bench" => opts.bench = PathBuf::from(value("--bench")?),
-            "--verify-determinism" => opts.verify = true,
-            other => return Err(format!("unknown argument '{other}'")),
+    let common = Common::parse("fleet", args, |flag, args| {
+        match flag {
+            "--name" => opts.name = args.value(flag)?,
+            "--population" => opts.population = args.positive(flag)?,
+            "--requests" => opts.requests = args.positive(flag)?,
+            "--shards" => opts.shards = args.positive(flag)?,
+            "--fault-rate" => opts.fault_rate = args.fraction(flag)?,
+            "--multi-tenant-rate" => opts.multi_tenant_rate = args.fraction(flag)?,
+            _ => return Ok(false),
         }
-    }
-    Ok(opts)
+        Ok(true)
+    })?;
+    Ok((common, opts))
 }
 
 /// Runs the fleet and returns the aggregate plus wall-clock seconds.
@@ -151,6 +89,15 @@ fn simulate(
     let partials = aitax_fleet::run_fleet(spec, requests, shards, threads);
     let secs = start.elapsed().as_secs_f64();
     (FleetReport::aggregate(spec, &partials), secs)
+}
+
+/// The rendered artifacts and trajectory file, in write order.
+fn outputs(report: &FleetReport) -> [String; 3] {
+    [
+        artifact::fleet_json(report),
+        artifact::fleet_csv(report),
+        artifact::bench_json(report),
+    ]
 }
 
 fn print_summary(report: &FleetReport) {
@@ -191,27 +138,23 @@ fn print_summary(report: &FleetReport) {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n{}", usage());
-            return ExitCode::from(2);
-        }
+    let (common, opts) = match parse(std::env::args().skip(1).collect()) {
+        Ok(parsed) => parsed,
+        Err(e) => return cli::usage_error(e, usage()),
     };
 
-    if opts.help {
+    if common.help {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
 
     let spec = PopulationSpec::new(opts.name.clone())
         .devices(opts.population)
-        .seed(opts.seed)
+        .seed(common.seed)
         .fault_rate(opts.fault_rate)
         .multi_tenant_rate(opts.multi_tenant_rate);
 
-    let (report, secs) = simulate(&spec, opts.requests, opts.shards, opts.threads);
+    let (report, secs) = simulate(&spec, opts.requests, opts.shards, common.threads);
     eprintln!(
         "fleet: population '{}' — {} devices / {} requests on {} shard(s) × {} thread(s) \
          in {:.2}s wall ({:.0} req/s)",
@@ -219,28 +162,25 @@ fn main() -> ExitCode {
         report.devices,
         report.requests,
         opts.shards,
-        opts.threads,
+        common.threads,
         secs,
         report.requests as f64 / secs.max(1e-9),
     );
+    let rendered = outputs(&report);
 
-    if opts.verify {
+    if common.verify {
         // Serial re-run under a different shard split: byte-identity
         // must hold across BOTH axes at once.
         let alt_shards = if opts.shards == 1 { 7 } else { 1 };
         let (serial, serial_secs) = simulate(&spec, opts.requests, alt_shards, 1);
-        if artifact::fleet_json(&serial) != artifact::fleet_json(&report)
-            || artifact::fleet_csv(&serial) != artifact::fleet_csv(&report)
-            || artifact::bench_json(&serial) != artifact::bench_json(&report)
-        {
-            eprintln!("fleet: DETERMINISM VIOLATION — parallel artifacts differ from serial");
+        if !cli::same_outputs("fleet", &rendered, &outputs(&serial)) {
             return ExitCode::FAILURE;
         }
         eprintln!(
             "fleet: determinism verified ({} shard(s) × {} thread(s) vs {} × 1, \
              byte-identical); speedup {:.2}x ({:.2}s -> {:.2}s)",
             opts.shards,
-            opts.threads,
+            common.threads,
             alt_shards,
             serial_secs / secs.max(1e-9),
             serial_secs,
@@ -250,21 +190,13 @@ fn main() -> ExitCode {
 
     print_summary(&report);
 
-    match artifact::write_artifacts(&report, &opts.out) {
-        Ok(paths) => {
-            for p in paths {
-                eprintln!("fleet: wrote {}", p.display());
-            }
-        }
-        Err(e) => {
-            eprintln!("fleet: failed to write artifacts: {e}");
-            return ExitCode::FAILURE;
-        }
+    let [json, csv, bench] = rendered;
+    let files = [
+        (format!("fleet_{}.json", report.population), json),
+        (format!("fleet_{}.csv", report.population), csv),
+    ];
+    match cli::write_outputs("fleet", &common.out, &files, &common.bench, &bench) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(_) => ExitCode::FAILURE,
     }
-    if let Err(e) = artifact::write_bench_json(&report, &opts.bench) {
-        eprintln!("fleet: failed to write {}: {e}", opts.bench.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("fleet: wrote {}", opts.bench.display());
-    ExitCode::SUCCESS
 }

@@ -13,9 +13,6 @@
 //! artifact.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 
 use crate::agg::{ScenarioStats, SweepReport};
 
@@ -185,28 +182,6 @@ pub fn bench_json(report: &SweepReport) -> String {
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Writes `lab_<grid>.json` and `lab_<grid>.csv` under `out_dir`
-/// (created if missing) and returns the paths written.
-pub fn write_artifacts(report: &SweepReport, out_dir: &Path) -> io::Result<Vec<PathBuf>> {
-    fs::create_dir_all(out_dir)?;
-    let json_path = out_dir.join(format!("lab_{}.json", report.grid));
-    let csv_path = out_dir.join(format!("lab_{}.csv", report.grid));
-    fs::write(&json_path, sweep_json(report))?;
-    fs::write(&csv_path, sweep_csv(report))?;
-    Ok(vec![json_path, csv_path])
-}
-
-/// Writes the perf-trajectory file (conventionally `BENCH_lab.json` at
-/// the repository top level).
-pub fn write_bench_json(report: &SweepReport, path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    fs::write(path, bench_json(report))
 }
 
 #[cfg(test)]

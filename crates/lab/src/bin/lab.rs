@@ -20,39 +20,16 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use aitax_core::report::Table;
+use aitax_lab::cli::{self, Common};
 use aitax_lab::{artifact, chrome, render, scenarios, Grid, SweepReport};
 
+/// The lab-specific options.
 struct Opts {
     grid: Option<String>,
     list: bool,
-    help: bool,
-    threads: usize,
     repeats: Option<usize>,
     iters: usize,
-    seed: u64,
-    out: PathBuf,
-    bench: PathBuf,
     trace: Option<PathBuf>,
-    verify: bool,
-}
-
-fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Parses the value of a count flag, which must be at least 1.
-fn count<T: std::str::FromStr + PartialEq + From<u8>>(
-    flag: &str,
-    value: &str,
-) -> Result<T, String> {
-    match value.parse() {
-        Ok(n) if n == T::from(0) => Err(format!("{flag} must be >= 1")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("{flag} must be a positive integer")),
-    }
 }
 
 fn usage() -> &'static str {
@@ -75,50 +52,26 @@ fn usage() -> &'static str {
      \x20 --help, -h            print this help"
 }
 
-fn parse(args: &[String]) -> Result<Opts, String> {
+fn parse(args: Vec<String>) -> Result<(Common, Opts), String> {
     let mut opts = Opts {
         grid: None,
         list: false,
-        help: false,
-        threads: aitax_lab::default_threads(),
         repeats: None,
-        iters: env_parse("AITAX_ITERS", 30),
-        seed: env_parse("AITAX_SEED", 1),
-        out: PathBuf::from("target/lab"),
-        bench: PathBuf::from("BENCH_lab.json"),
+        iters: cli::env("AITAX_ITERS").unwrap_or(30),
         trace: None,
-        verify: false,
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => {
-                opts.help = true;
-                return Ok(opts);
-            }
-            "--grid" => opts.grid = Some(value("--grid")?),
+    let common = Common::parse("lab", args, |flag, args| {
+        match flag {
+            "--grid" => opts.grid = Some(args.value(flag)?),
             "--list" => opts.list = true,
-            "--threads" => opts.threads = count(arg, &value(arg)?)?,
-            "--repeats" => opts.repeats = Some(count(arg, &value(arg)?)?),
-            "--iters" => opts.iters = count(arg, &value(arg)?)?,
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer".to_string())?;
-            }
-            "--out" => opts.out = PathBuf::from(value("--out")?),
-            "--bench" => opts.bench = PathBuf::from(value("--bench")?),
-            "--trace" => opts.trace = Some(PathBuf::from(value("--trace")?)),
-            "--verify-determinism" => opts.verify = true,
-            other => return Err(format!("unknown argument '{other}'")),
+            "--repeats" => opts.repeats = Some(args.positive(flag)?),
+            "--iters" => opts.iters = args.positive(flag)?,
+            "--trace" => opts.trace = Some(args.value(flag)?.into()),
+            _ => return Ok(false),
         }
-    }
-    Ok(opts)
+        Ok(true)
+    })?;
+    Ok((common, opts))
 }
 
 /// The presentation table each grid renders best with.
@@ -132,74 +85,48 @@ fn render_table(grid_name: &str, report: &SweepReport) -> Table {
     }
 }
 
-fn emit(title: &str, table: &Table) {
-    if std::env::var("AITAX_TSV")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        print!("{}", table.render_tsv());
-    } else {
-        println!("## {title}\n");
-        print!("{}", table.render_text());
-        println!();
-    }
+/// The rendered artifacts and trajectory file, in write order.
+fn outputs(report: &SweepReport) -> [String; 3] {
+    [
+        artifact::sweep_json(report),
+        artifact::sweep_csv(report),
+        artifact::bench_json(report),
+    ]
 }
 
 /// Runs `grid` on `threads` workers and returns the aggregate plus the
 /// wall-clock seconds the sweep took.
-fn sweep(grid: &Grid, threads: usize) -> (SweepReport, f64) {
+fn timed_sweep(grid: &Grid, threads: usize) -> (SweepReport, f64) {
     let start = Instant::now();
-    let results = aitax_lab::run_jobs(grid.expand(), threads);
-    let secs = start.elapsed().as_secs_f64();
-    (SweepReport::aggregate(grid, &results), secs)
+    let report = aitax_lab::sweep(grid, threads);
+    (report, start.elapsed().as_secs_f64())
 }
 
 /// Exports the Chrome trace of the grid's first job (tracing forced).
 fn export_trace(grid: &Grid, path: &PathBuf) -> std::io::Result<()> {
-    let mut jobs = grid.expand();
-    let mut job = jobs.remove(0);
-    job.scenario = job.scenario.clone().tracing(true);
-    let report = {
-        let s = &job.scenario;
-        let mut cfg = aitax_core::pipeline::E2eConfig::new(s.model, s.dtype)
-            .engine(s.engine)
-            .run_mode(s.mode)
-            .soc(s.soc)
-            .iterations(s.iterations)
-            .seed(job.seed)
-            .preproc_on_dsp(s.preproc_on_dsp)
-            .tracing(true);
-        if let Some((count, engine)) = s.background {
-            cfg = cfg.background(count, engine);
-        }
-        if let Some(fault) = &s.fault {
-            cfg = cfg.fault_plan(fault.plan(job.seed));
-        }
-        cfg.run()
-    };
+    let mut job = grid.expand().swap_remove(0);
+    job.scenario = job.scenario.tracing(true);
+    let report = job.config().run();
     let trace = report.trace.expect("tracing was forced on");
     let name = format!("{} · {}", grid.name, job.scenario.label);
     std::fs::write(path, chrome::chrome_trace(&trace, &name))
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n{}", usage());
-            return ExitCode::from(2);
-        }
+    let (common, opts) = match parse(std::env::args().skip(1).collect()) {
+        Ok(parsed) => parsed,
+        Err(e) => return cli::usage_error(e, usage()),
     };
 
-    if opts.help {
+    if common.help {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
 
     if opts.list {
         for name in scenarios::NAMES {
-            let g = scenarios::by_name(name, opts.iters, opts.seed).unwrap();
+            let g = scenarios::by_name(name, opts.iters, common.seed)
+                .expect("every listed grid is registered");
             println!(
                 "{name:<8} {} scenarios × {} repeats = {} jobs",
                 g.scenarios().len(),
@@ -211,65 +138,54 @@ fn main() -> ExitCode {
     }
 
     let Some(name) = opts.grid.as_deref() else {
-        eprintln!("error: --grid is required\n{}", usage());
-        return ExitCode::from(2);
+        return cli::usage_error("--grid is required", usage());
     };
-    let Some(mut grid) = scenarios::by_name(name, opts.iters, opts.seed) else {
-        eprintln!(
-            "error: unknown grid '{name}' (available: {})",
-            scenarios::NAMES.join(", ")
+    let Some(mut grid) = scenarios::by_name(name, opts.iters, common.seed) else {
+        let available = scenarios::NAMES.join(", ");
+        return cli::usage_error(
+            format!("unknown grid '{name}' (available: {available})"),
+            "",
         );
-        return ExitCode::from(2);
     };
     if let Some(r) = opts.repeats {
         grid = grid.repeats(r);
     }
 
-    let (report, secs) = sweep(&grid, opts.threads);
+    let (report, secs) = timed_sweep(&grid, common.threads);
     eprintln!(
         "lab: grid '{}' — {} jobs on {} thread(s) in {:.2}s wall",
-        grid.name, report.jobs, opts.threads, secs
+        grid.name, report.jobs, common.threads, secs
     );
+    let rendered = outputs(&report);
 
-    if opts.verify {
-        let (serial, serial_secs) = sweep(&grid, 1);
-        if artifact::sweep_json(&serial) != artifact::sweep_json(&report)
-            || artifact::bench_json(&serial) != artifact::bench_json(&report)
-        {
-            eprintln!("lab: DETERMINISM VIOLATION — parallel artifacts differ from serial");
+    if common.verify {
+        let (serial, serial_secs) = timed_sweep(&grid, 1);
+        if !cli::same_outputs("lab", &rendered, &outputs(&serial)) {
             return ExitCode::FAILURE;
         }
         eprintln!(
             "lab: determinism verified ({} thread(s) vs serial, byte-identical); \
              speedup {:.2}x ({:.2}s -> {:.2}s)",
-            opts.threads,
+            common.threads,
             serial_secs / secs.max(1e-9),
             serial_secs,
             secs
         );
     }
 
-    emit(
+    cli::emit(
         &format!("lab sweep — {}", grid.name),
         &render_table(name, &report),
     );
 
-    match artifact::write_artifacts(&report, &opts.out) {
-        Ok(paths) => {
-            for p in paths {
-                eprintln!("lab: wrote {}", p.display());
-            }
-        }
-        Err(e) => {
-            eprintln!("lab: failed to write artifacts: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = artifact::write_bench_json(&report, &opts.bench) {
-        eprintln!("lab: failed to write {}: {e}", opts.bench.display());
+    let [json, csv, bench] = rendered;
+    let files = [
+        (format!("lab_{}.json", report.grid), json),
+        (format!("lab_{}.csv", report.grid), csv),
+    ];
+    if cli::write_outputs("lab", &common.out, &files, &common.bench, &bench).is_err() {
         return ExitCode::FAILURE;
     }
-    eprintln!("lab: wrote {}", opts.bench.display());
 
     if let Some(path) = &opts.trace {
         if let Err(e) = export_trace(&grid, path) {

@@ -42,22 +42,7 @@ impl JobSpec {
     /// context through every job they execute without perturbing
     /// results.
     pub fn run_in(&self, ctx: &mut SimContext) -> JobResult {
-        let s = &self.scenario;
-        let mut cfg = E2eConfig::new(s.model, s.dtype)
-            .engine(s.engine)
-            .run_mode(s.mode)
-            .soc(s.soc)
-            .iterations(s.iterations)
-            .seed(self.seed)
-            .preproc_on_dsp(s.preproc_on_dsp)
-            .tracing(s.tracing);
-        if let Some((count, engine)) = s.background {
-            cfg = cfg.background(count, engine);
-        }
-        if let Some(fault) = &s.fault {
-            cfg = cfg.fault_plan(fault.plan(self.seed));
-        }
-        let r = cfg.run_in(ctx);
+        let r = self.config().run_in(ctx);
         let stage_ms = Stage::ALL.map(|stage| r.summary(stage).samples_ms().to_vec());
         JobResult {
             id: self.id,
@@ -73,6 +58,27 @@ impl JobSpec {
             energy_tax: r.energy.as_ref().map(|e| e.energy_tax_fraction()),
             mean_power_w: r.energy.as_ref().map(|e| e.mean_power_w()),
         }
+    }
+
+    /// The end-to-end configuration this job runs: the scenario's knobs
+    /// under the job's derived seed.
+    pub fn config(&self) -> E2eConfig {
+        let s = &self.scenario;
+        let mut cfg = E2eConfig::new(s.model, s.dtype)
+            .engine(s.engine)
+            .run_mode(s.mode)
+            .soc(s.soc)
+            .iterations(s.iterations)
+            .seed(self.seed)
+            .preproc_on_dsp(s.preproc_on_dsp)
+            .tracing(s.tracing);
+        if let Some((count, engine)) = s.background {
+            cfg = cfg.background(count, engine);
+        }
+        if let Some(fault) = &s.fault {
+            cfg = cfg.fault_plan(fault.plan(self.seed));
+        }
+        cfg
     }
 }
 

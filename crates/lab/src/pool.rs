@@ -21,20 +21,19 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
+use crate::agg::SweepReport;
 use crate::job::{JobResult, JobSpec};
+use crate::scenario::Grid;
 
 /// Worker-thread count to use by default: the `AITAX_THREADS` environment
 /// variable when set, otherwise the machine's available parallelism.
 pub fn default_threads() -> usize {
-    // aitax-allow(env-read): AITAX_THREADS picks the worker count only; the input-ordered merge keeps artifacts identical for any value
-    if let Ok(v) = std::env::var("AITAX_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
+    match crate::cli::env::<usize>("AITAX_THREADS") {
+        Some(n) => n.max(1),
+        None => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Runs `run` over every task and returns the results **in input
@@ -168,10 +167,16 @@ pub fn run_jobs(jobs: Vec<JobSpec>, threads: usize) -> Vec<JobResult> {
     })
 }
 
+/// Runs every job of `grid` on `threads` workers and aggregates the
+/// results — the whole sweep, byte-identical for any thread count.
+pub fn sweep(grid: &Grid, threads: usize) -> SweepReport {
+    SweepReport::aggregate(grid, &run_jobs(grid.expand(), threads))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Grid, Scenario};
+    use crate::scenario::Scenario;
     use aitax_models::zoo::ModelId;
     use aitax_tensor::DType;
 

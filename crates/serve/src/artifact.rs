@@ -7,9 +7,6 @@
 //! itself goes to stderr in the binary, never into an artifact.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 
 use aitax_core::artifact::{dist_json, json_escape, json_num};
 
@@ -162,26 +159,6 @@ pub fn bench_json(report: &ServeReport) -> String {
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Writes `serve_<scenario>.json` and `serve_<scenario>.csv` under `dir`.
-pub fn write_artifacts(report: &ServeReport, dir: &Path) -> io::Result<Vec<PathBuf>> {
-    fs::create_dir_all(dir)?;
-    let json_path = dir.join(format!("serve_{}.json", report.scenario));
-    let csv_path = dir.join(format!("serve_{}.csv", report.scenario));
-    fs::write(&json_path, serve_json(report))?;
-    fs::write(&csv_path, serve_csv(report))?;
-    Ok(vec![json_path, csv_path])
-}
-
-/// Writes the `BENCH_serve.json` trajectory file.
-pub fn write_bench_json(report: &ServeReport, path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    fs::write(path, bench_json(report))
 }
 
 #[cfg(test)]

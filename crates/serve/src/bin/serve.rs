@@ -16,32 +16,22 @@
 //! Environment: `AITAX_SEED` (default for `--seed`), `AITAX_THREADS`
 //! (default for `--threads`).
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use aitax_core::QosClass;
+use aitax_lab::cli::{self, Common};
 use aitax_serve::{artifact, attribution, scenarios, AdmissionPolicy, ServeConfig, ServeReport};
 
+/// The serve-specific options.
 struct Opts {
+    list: bool,
     scenario: String,
     tenants: Option<usize>,
     qos: Vec<QosClass>,
     rate_scale: f64,
     requests: Option<usize>,
     admission: Option<AdmissionPolicy>,
-    threads: usize,
-    seed: u64,
-    out: PathBuf,
-    bench: PathBuf,
-    verify: bool,
-}
-
-fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn usage() -> &'static str {
@@ -68,113 +58,62 @@ fn usage() -> &'static str {
      \x20 --help, -h            print this help"
 }
 
-fn parse(args: &[String]) -> Result<Option<Opts>, String> {
+fn parse(args: Vec<String>) -> Result<(Common, Opts), String> {
     let mut opts = Opts {
+        list: false,
         scenario: "smoke".into(),
         tenants: None,
         qos: Vec::new(),
         rate_scale: 1.0,
         requests: None,
         admission: None,
-        threads: env_parse("AITAX_THREADS", aitax_lab::default_threads()),
-        seed: env_parse("AITAX_SEED", 1),
-        out: PathBuf::from("target/serve"),
-        bench: PathBuf::from("BENCH_serve.json"),
-        verify: false,
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{}", usage());
-                return Ok(None);
-            }
+    let common = Common::parse("serve", args, |flag, args| {
+        match flag {
+            // `--list` ends parsing: whatever follows it is ignored.
             "--list" => {
-                for name in scenarios::NAMES {
-                    println!("{name}");
-                }
-                return Ok(None);
+                opts.list = true;
+                args.for_each(drop);
             }
-            "--scenario" => opts.scenario = value("--scenario")?,
-            "--tenants" => {
-                opts.tenants = Some(
-                    value("--tenants")?
-                        .parse()
-                        .map_err(|_| "--tenants must be a positive integer".to_string())?,
-                );
-                if opts.tenants == Some(0) {
-                    return Err("--tenants must be >= 1".into());
-                }
-            }
+            "--scenario" => opts.scenario = args.value(flag)?,
+            "--tenants" => opts.tenants = Some(args.positive(flag)?),
             "--qos" => {
-                let raw = value("--qos")?;
-                opts.qos = raw
+                opts.qos = args
+                    .value(flag)?
                     .split(',')
                     .map(|s| {
                         QosClass::parse(s.trim()).ok_or_else(|| format!("unknown QoS class '{s}'"))
                     })
                     .collect::<Result<_, _>>()?;
-                if opts.qos.is_empty() {
-                    return Err("--qos needs at least one class".into());
-                }
             }
             "--arrival-rate" => {
-                opts.rate_scale = value("--arrival-rate")?
-                    .parse()
-                    .map_err(|_| "--arrival-rate must be a positive number".to_string())?;
+                opts.rate_scale = args.parse(flag, "a positive number")?;
                 if opts.rate_scale <= 0.0 || !opts.rate_scale.is_finite() {
                     return Err("--arrival-rate must be positive and finite".into());
                 }
             }
-            "--requests" => {
-                let n: usize = value("--requests")?
-                    .parse()
-                    .map_err(|_| "--requests must be a positive integer".to_string())?;
-                if n == 0 {
-                    return Err("--requests must be >= 1".into());
-                }
-                opts.requests = Some(n);
-            }
+            "--requests" => opts.requests = Some(args.positive(flag)?),
             "--admission" => {
-                let raw = value("--admission")?;
+                let raw = args.value(flag)?;
                 opts.admission = Some(if raw == "unbounded" {
                     AdmissionPolicy::Unbounded
                 } else {
-                    let bound: usize = raw
-                        .parse()
-                        .map_err(|_| "--admission must be an integer or 'unbounded'".to_string())?;
-                    AdmissionPolicy::Shed { queue_bound: bound }
+                    AdmissionPolicy::Shed {
+                        queue_bound: raw.parse().map_err(|_| {
+                            "--admission must be an integer or 'unbounded'".to_string()
+                        })?,
+                    }
                 });
             }
-            "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads must be a positive integer".to_string())?;
-                if opts.threads == 0 {
-                    return Err("--threads must be >= 1".into());
-                }
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer".to_string())?;
-            }
-            "--out" => opts.out = PathBuf::from(value("--out")?),
-            "--bench" => opts.bench = PathBuf::from(value("--bench")?),
-            "--verify-determinism" => opts.verify = true,
-            other => return Err(format!("unknown argument '{other}'")),
+            _ => return Ok(false),
         }
-    }
-    Ok(Some(opts))
+        Ok(true)
+    })?;
+    Ok((common, opts))
 }
 
 /// Builds the scenario config the options describe.
-fn build_config(opts: &Opts) -> Result<ServeConfig, String> {
+fn build_config(opts: &Opts, seed: u64) -> Result<ServeConfig, String> {
     let mut cfg = scenarios::by_name(&opts.scenario).ok_or_else(|| {
         format!(
             "unknown scenario '{}' (try: {})",
@@ -212,7 +151,16 @@ fn build_config(opts: &Opts) -> Result<ServeConfig, String> {
     if let Some(admission) = opts.admission {
         cfg = cfg.admission(admission);
     }
-    Ok(cfg.seed(opts.seed))
+    Ok(cfg.seed(seed))
+}
+
+/// The rendered artifacts and trajectory file, in write order.
+fn outputs(report: &ServeReport) -> [String; 3] {
+    [
+        artifact::serve_json(report),
+        artifact::serve_csv(report),
+        artifact::bench_json(report),
+    ]
 }
 
 fn print_summary(report: &ServeReport) {
@@ -266,25 +214,27 @@ fn print_summary(report: &ServeReport) {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse(&args) {
-        Ok(Some(o)) => o,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}\n{}", usage());
-            return ExitCode::from(2);
-        }
+    let (common, opts) = match parse(std::env::args().skip(1).collect()) {
+        Ok(parsed) => parsed,
+        Err(e) => return cli::usage_error(e, usage()),
     };
-    let cfg = match build_config(&opts) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}\n{}", usage());
-            return ExitCode::from(2);
+    if common.help {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    if opts.list {
+        for name in scenarios::NAMES {
+            println!("{name}");
         }
+        return ExitCode::SUCCESS;
+    }
+    let cfg = match build_config(&opts, common.seed) {
+        Ok(c) => c,
+        Err(e) => return cli::usage_error(e, usage()),
     };
 
     let start = Instant::now();
-    let (report, _runs) = attribution::run_report(&cfg, opts.threads);
+    let (report, _runs) = attribution::run_report(&cfg, common.threads);
     let secs = start.elapsed().as_secs_f64();
     let total_requests: usize = report.tenants.iter().map(|t| t.completed).sum();
     eprintln!(
@@ -294,25 +244,22 @@ fn main() -> ExitCode {
         cfg.tenants.len(),
         total_requests,
         cfg.tenants.len(),
-        opts.threads,
+        common.threads,
         secs,
     );
+    let rendered = outputs(&report);
 
-    if opts.verify {
+    if common.verify {
         let serial_start = Instant::now();
         let (serial, _) = attribution::run_report(&cfg, 1);
         let serial_secs = serial_start.elapsed().as_secs_f64();
-        if artifact::serve_json(&serial) != artifact::serve_json(&report)
-            || artifact::serve_csv(&serial) != artifact::serve_csv(&report)
-            || artifact::bench_json(&serial) != artifact::bench_json(&report)
-        {
-            eprintln!("serve: DETERMINISM VIOLATION — parallel artifacts differ from serial");
+        if !cli::same_outputs("serve", &rendered, &outputs(&serial)) {
             return ExitCode::FAILURE;
         }
         eprintln!(
             "serve: determinism verified ({} thread(s) vs 1, byte-identical); \
              speedup {:.2}x ({:.2}s -> {:.2}s)",
-            opts.threads,
+            common.threads,
             serial_secs / secs.max(1e-9),
             serial_secs,
             secs
@@ -321,21 +268,13 @@ fn main() -> ExitCode {
 
     print_summary(&report);
 
-    match artifact::write_artifacts(&report, &opts.out) {
-        Ok(paths) => {
-            for p in paths {
-                eprintln!("serve: wrote {}", p.display());
-            }
-        }
-        Err(e) => {
-            eprintln!("serve: failed to write artifacts: {e}");
-            return ExitCode::FAILURE;
-        }
+    let [json, csv, bench] = rendered;
+    let files = [
+        (format!("serve_{}.json", report.scenario), json),
+        (format!("serve_{}.csv", report.scenario), csv),
+    ];
+    match cli::write_outputs("serve", &common.out, &files, &common.bench, &bench) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(_) => ExitCode::FAILURE,
     }
-    if let Err(e) = artifact::write_bench_json(&report, &opts.bench) {
-        eprintln!("serve: failed to write {}: {e}", opts.bench.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("serve: wrote {}", opts.bench.display());
-    ExitCode::SUCCESS
 }

@@ -23,6 +23,8 @@
 //!   [`TenantTax`](aitax_core::tenant::TenantTax) ledgers, and
 //!   admission queue-bound checks reconstructed from request wait
 //!   intervals.
+//! * [`cli`] — command-line surface checks: run a binary, or tabulate
+//!   its exit code and first stderr line over invalid invocations.
 //!
 //! # Example
 //!
@@ -42,12 +44,14 @@
 //! ```
 
 pub mod assert;
+pub mod cli;
 pub mod golden;
 pub mod invariant;
 pub mod json;
 pub mod serving;
 
 pub use assert::{assert_cv_below, assert_monotone, assert_ratio_within, assert_within, Direction};
+pub use cli::{run_cli, usage_error_table};
 pub use golden::{check_golden, diff_tsv, golden_dir, Tolerance};
 pub use invariant::{
     assert_report_ok, check_energy, check_stats_agreement, check_trace, TraceInvariant, Violation,

@@ -8,21 +8,20 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use aitax::capture::{CameraConfig, CameraSource};
 use aitax::core::pipeline::E2eConfig;
 use aitax::core::report::fmt_ms;
 use aitax::core::runmode::RunMode;
 use aitax::core::stage::Stage;
 use aitax::framework::Engine;
 use aitax::models::zoo::ModelId;
+use aitax::pipeline::image::YuvNv21Image;
 use aitax::pipeline::post::topk;
 use aitax::pipeline::preprocess;
 use aitax::tensor::DType;
 
 fn main() {
     // --- Part 1: the real pixel pipeline -------------------------------
-    let mut camera = CameraSource::new(CameraConfig::vga_preview(), 42);
-    let frame = camera.next_frame();
+    let frame = YuvNv21Image::synthetic(640, 480, 42);
     println!(
         "captured a {}x{} NV21 frame ({} bytes)",
         frame.width(),

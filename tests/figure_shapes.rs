@@ -7,6 +7,7 @@ use aitax::core::pipeline::E2eConfig;
 use aitax::core::runmode::RunMode;
 use aitax::core::stage::Stage;
 use aitax::framework::Engine;
+use aitax::lab::scenarios;
 use aitax::models::zoo::ModelId;
 use aitax::tensor::DType;
 use aitax::testkit::{assert_monotone, assert_ratio_within, assert_within, Direction};
@@ -122,22 +123,21 @@ fn fig9_fig10_multitenancy_shapes() {
         1.5,
     );
 
-    let cpu = experiment::fig10(quick);
-    let rows = cpu.rows();
-    let inf = |i: usize| rows[i][3].parse::<f64>().unwrap();
-    let pre = |i: usize| rows[i][2].parse::<f64>().unwrap();
-    let last = rows.len() - 1;
+    // Fig. 10 runs as the lab `fig10` grid: one scenario per background
+    // count, labelled by the count.
+    let cpu = aitax::lab::sweep(&scenarios::fig10(quick.iterations, quick.seed), 2);
+    let mean = |b: &str, stage| cpu.stage_mean_ms(b, stage).unwrap();
     assert_ratio_within(
         "fig10 preproc under CPU contention",
-        pre(last),
-        pre(0),
+        mean("8", Stage::PreProcessing),
+        mean("0", Stage::PreProcessing),
         1.2,
         f64::INFINITY,
     );
     assert_ratio_within(
         "fig10 inference under CPU contention",
-        inf(last),
-        inf(0),
+        mean("8", Stage::Inference),
+        mean("0", Stage::Inference),
         0.0,
         1.25,
     );
@@ -147,21 +147,23 @@ fn fig9_fig10_multitenancy_shapes() {
 /// of percent while the benchmark distribution stays tight.
 #[test]
 fn fig11_variability_gap() {
-    let r = experiment::fig11(ExperimentOpts {
-        iterations: 120,
-        seed: 1,
-    });
-    assert_within(
-        "fig11 benchmark deviation",
-        r.benchmark_deviation,
-        0.0,
-        0.05,
-    );
-    assert_within("fig11 app deviation", r.app_deviation, 0.10, 0.60);
+    // Fig. 11 runs as the lab `fig11` grid: each mode's seeded repeats
+    // pool into one distribution.
+    let r = aitax::lab::sweep(&scenarios::fig11(120, 1), 2);
+    let deviation = |mode: RunMode| {
+        r.scenario(&mode.to_string())
+            .unwrap()
+            .e2e
+            .max_dev_from_median
+    };
+    let benchmark_deviation = deviation(RunMode::CliBenchmark);
+    let app_deviation = deviation(RunMode::AndroidApp);
+    assert_within("fig11 benchmark deviation", benchmark_deviation, 0.0, 0.05);
+    assert_within("fig11 app deviation", app_deviation, 0.10, 0.60);
     assert_ratio_within(
         "fig11 app vs benchmark spread",
-        r.app_deviation,
-        r.benchmark_deviation,
+        app_deviation,
+        benchmark_deviation,
         4.0,
         f64::INFINITY,
     );

@@ -13,6 +13,7 @@
 use std::fmt::Write as _;
 
 use aitax::fleet::{artifact, FleetReport, PopulationSpec};
+use aitax::lab::cli;
 use aitax::testkit::{assert_valid_json, check_golden, Tolerance};
 
 const REQUESTS: u64 = 600;
@@ -141,12 +142,29 @@ fn fleet_smoke_cohorts_match_golden() {
 fn artifacts_round_trip_through_disk() {
     let report = smoke_report(2, 2);
     let dir = std::env::temp_dir().join(format!("aitax-fleet-test-{}", std::process::id()));
-    let paths = artifact::write_artifacts(&report, &dir).expect("write fleet artifacts");
-    assert_eq!(paths.len(), 2);
-    let on_disk = std::fs::read_to_string(&paths[0]).expect("read back");
-    assert_eq!(on_disk, artifact::fleet_json(&report));
     let bench_path = dir.join("BENCH_fleet.json");
-    artifact::write_bench_json(&report, &bench_path).expect("write BENCH_fleet.json");
+    let files = [
+        (
+            format!("fleet_{}.json", report.population),
+            artifact::fleet_json(&report),
+        ),
+        (
+            format!("fleet_{}.csv", report.population),
+            artifact::fleet_csv(&report),
+        ),
+    ];
+    cli::write_outputs(
+        "fleet",
+        &dir,
+        &files,
+        &bench_path,
+        &artifact::bench_json(&report),
+    )
+    .expect("write fleet artifacts");
+    for (name, contents) in &files {
+        let on_disk = std::fs::read_to_string(dir.join(name)).expect("read back");
+        assert_eq!(&on_disk, contents);
+    }
     assert_eq!(
         std::fs::read_to_string(&bench_path).expect("read back"),
         artifact::bench_json(&report)

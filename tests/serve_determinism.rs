@@ -13,6 +13,7 @@
 
 use std::fmt::Write as _;
 
+use aitax::lab::cli;
 use aitax::serve::{artifact, run_report, scenarios, ServeReport};
 use aitax::testkit::{assert_valid_json, check_golden, Tolerance};
 
@@ -112,12 +113,29 @@ fn serve_smoke_tenants_match_golden() {
 fn artifacts_round_trip_through_disk() {
     let report = smoke_report(2);
     let dir = std::env::temp_dir().join(format!("aitax-serve-test-{}", std::process::id()));
-    let paths = artifact::write_artifacts(&report, &dir).expect("write serve artifacts");
-    assert_eq!(paths.len(), 2);
-    let on_disk = std::fs::read_to_string(&paths[0]).expect("read back");
-    assert_eq!(on_disk, artifact::serve_json(&report));
     let bench_path = dir.join("BENCH_serve.json");
-    artifact::write_bench_json(&report, &bench_path).expect("write BENCH_serve.json");
+    let files = [
+        (
+            format!("serve_{}.json", report.scenario),
+            artifact::serve_json(&report),
+        ),
+        (
+            format!("serve_{}.csv", report.scenario),
+            artifact::serve_csv(&report),
+        ),
+    ];
+    cli::write_outputs(
+        "serve",
+        &dir,
+        &files,
+        &bench_path,
+        &artifact::bench_json(&report),
+    )
+    .expect("write serve artifacts");
+    for (name, contents) in &files {
+        let on_disk = std::fs::read_to_string(dir.join(name)).expect("read back");
+        assert_eq!(&on_disk, contents);
+    }
     assert_eq!(
         std::fs::read_to_string(&bench_path).expect("read back"),
         artifact::bench_json(&report)
